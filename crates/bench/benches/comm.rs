@@ -29,7 +29,7 @@ fn bench_pingpong(c: &mut Criterion) {
         b.iter(|| {
             Communicator::run(2, |ctx| {
                 let peer = 1 - ctx.rank();
-                ctx.prewarm(peer, 2, len);
+                ctx.ensure_pool(peer, 2, len);
                 for round in 0..BATCH {
                     if ctx.rank() == 0 {
                         let mut payload = ctx.acquire(peer, len);
@@ -60,7 +60,7 @@ fn bench_allreduce(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("p", p), &p, |b, &p| {
             b.iter(|| {
                 Communicator::run(p, |ctx| {
-                    ctx.prewarm_collectives(2, len);
+                    ctx.ensure_collectives(2, len);
                     let mut buf = vec![ctx.rank() as f32; len];
                     for _ in 0..BATCH {
                         ctx.allreduce_sum(&mut buf);
@@ -87,7 +87,7 @@ fn bench_broadcast(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("p", p), &p, |b, &p| {
             b.iter(|| {
                 Communicator::run(p, |ctx| {
-                    ctx.prewarm_collectives(2, len);
+                    ctx.ensure_collectives(2, len);
                     let mut buf = if ctx.rank() == 0 {
                         vec![1.0f32; len]
                     } else {
@@ -129,7 +129,7 @@ fn bench_spmm_exchange(c: &mut Criterion) {
                     let cctx = ComputeCtx::for_ranks(p, Some(1));
                     let x = &locals[ctx.rank()];
                     for ss in &rp.send {
-                        ctx.prewarm(ss.peer, 2, ss.local_indices.len() * x.cols());
+                        ctx.ensure_pool(ss.peer, 2, ss.local_indices.len() * x.cols());
                     }
                     let mut scratch = ExchangeScratch::new(p);
                     let mut ax = Dense::zeros(rp.n_local(), x.cols());

@@ -1,5 +1,5 @@
 //! Persistent mini-batch engine vs per-batch-spawn training (DESIGN.md
-//! §11). The old path pays `Communicator::run` (thread spawn + join),
+//! §11). The per-batch path pays a fresh driver (thread spawn + join),
 //! plan construction, and workspace/pool growth once *per batch*; the
 //! engine pays them once per session and pipelines batch preparation
 //! against rank compute. For small batches the fixed per-batch cost
@@ -11,8 +11,8 @@
 //! throughput (`Throughput::Elements`, one element = one batch) reads
 //! directly as batches/second. Three methods per group:
 //!   `spawn`      — `minibatch::train_spec`, the per-batch-spawn path;
-//!   `persistent` — `train_spec_persistent`, engine built inside the
-//!                  iteration (what a fresh training run pays);
+//!   `persistent` — `MinibatchEngine::new(..).train(..)`, engine built
+//!                  inside the iteration (what a fresh training run pays);
 //!   `steady`     — a long-lived engine re-fed the list, the
 //!                  steady-state cost with pools and workspaces at
 //!                  their high-water mark.
@@ -88,9 +88,10 @@ fn run_group(c: &mut Criterion, name: &str, batch_size: usize, count: usize) {
 
     group.bench_function(BenchmarkId::new("persistent", P), |b| {
         b.iter(|| {
-            minibatch::train_spec_persistent(
-                &f.graph, &f.h0, &f.labels, &f.mask, &f.part, &f.config, &f.batches, 5, f.spec,
+            MinibatchEngine::new(
+                &f.graph, &f.h0, &f.labels, &f.mask, &f.part, &f.config, 5, f.spec,
             )
+            .train(&f.batches)
         })
     });
 

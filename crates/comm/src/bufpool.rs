@@ -12,9 +12,9 @@
 //! (sender → destination) pair has at most one message in flight, and at
 //! most one buffer from the previous layer still travelling back, so two
 //! resident buffers per destination cover the demand — no cross-peer
-//! stealing can leave a destination short. The trainer pre-warms exactly
-//! that (`RankCtx::prewarm`), and the counting-allocator test pins the
-//! resulting zero-allocation steady state down.
+//! stealing can leave a destination short. The trainer ensures exactly
+//! that (`RankCtx::ensure_pool`), and the counting-allocator test pins
+//! the resulting zero-allocation steady state down.
 //!
 //! Within a destination's list, `acquire` picks the smallest buffer whose
 //! capacity already fits (so small control payloads don't burn the big
@@ -95,27 +95,19 @@ impl BufPool {
         self.free[to].push(buf);
     }
 
-    /// Pre-allocates `count` buffers of capacity `len` for destination
-    /// `to`, so later `acquire`s hit without touching the heap. The free
-    /// list itself is over-reserved: at a scheduling-dependent peak every
-    /// buffer ever created for `to` can be resident at once, and the
-    /// list growing to hold them would itself be a heap allocation on
-    /// the comm path.
-    pub fn prewarm(&mut self, to: usize, count: usize, len: usize) {
-        self.free[to].reserve(2 * count + 2);
-        for _ in 0..count {
-            self.free[to].push(Vec::with_capacity(len));
-        }
-    }
-
-    /// Idempotent prewarm: tops the pool up until `count` resident
-    /// buffers for `to` fit `len` floats, growing too-small resident
-    /// buffers (largest first — fewest bytes to add) before allocating
-    /// fresh ones. Once the pool has seen the high-water `(count, len)`,
-    /// further calls are no-ops, so callers with a *stream* of demands
-    /// of varying size (the mini-batch engine: one plan per batch) can
-    /// re-ensure per step and keep the analytic steady-state guarantee
-    /// without accreting buffers the way repeated `prewarm` would.
+    /// Tops the pool up until `count` resident buffers for `to` fit
+    /// `len` floats, growing too-small resident buffers (largest first —
+    /// fewest bytes to add) before allocating fresh ones, so later
+    /// `acquire`s hit without touching the heap. On an empty list this
+    /// allocates exactly `count` buffers of capacity `len`. Idempotent:
+    /// once the pool has seen the high-water `(count, len)`, further
+    /// calls are no-ops, so callers with a *stream* of demands of varying
+    /// size (the mini-batch engine: one plan per batch) re-ensure per
+    /// step and keep the analytic steady-state guarantee without
+    /// accreting buffers. The free list itself is over-reserved: at a
+    /// scheduling-dependent peak every buffer ever created for `to` can
+    /// be resident at once, and the list growing to hold them would
+    /// itself be a heap allocation on the comm path.
     pub fn ensure(&mut self, to: usize, count: usize, len: usize) {
         self.free[to].reserve(2 * count + 2);
         let fitting = self.free[to].iter().filter(|b| b.capacity() >= len).count();
@@ -147,8 +139,8 @@ mod tests {
     #[test]
     fn acquire_prefers_smallest_fitting_buffer() {
         let mut pool = BufPool::new(1);
-        pool.prewarm(0, 1, 100);
-        pool.prewarm(0, 1, 8);
+        pool.ensure(0, 1, 100);
+        pool.ensure(0, 2, 8);
         let b = pool.acquire(0, 4);
         assert_eq!(b.capacity(), 8);
         let big = pool.acquire(0, 50);
@@ -159,7 +151,7 @@ mod tests {
     #[test]
     fn miss_grows_largest_instead_of_accreting() {
         let mut pool = BufPool::new(1);
-        pool.prewarm(0, 1, 4);
+        pool.ensure(0, 1, 4);
         let b = pool.acquire(0, 64);
         assert!(b.capacity() >= 64);
         assert_eq!(pool.stats().hits, 0);
@@ -174,7 +166,7 @@ mod tests {
     #[test]
     fn destinations_do_not_share_buffers() {
         let mut pool = BufPool::new(2);
-        pool.prewarm(1, 1, 32);
+        pool.ensure(1, 1, 32);
         let b = pool.acquire(0, 16);
         // Destination 0 had nothing resident: fresh allocation.
         assert_eq!(pool.stats().hits, 0);

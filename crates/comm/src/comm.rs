@@ -396,18 +396,13 @@ impl RankCtx {
         self.counters.comm_path_allocs += allocmeter::current() - a0;
     }
 
-    /// Pre-fills the pool with `count` payload buffers of capacity `len`
-    /// for destination `to`, so steady-state `acquire`s never allocate.
-    pub fn prewarm(&mut self, to: usize, count: usize, len: usize) {
-        self.pool.prewarm(to, count, len);
-    }
-
-    /// Idempotent [`prewarm`](Self::prewarm): drains the return channel,
-    /// then tops the pool up until `count` resident buffers for `to` fit
-    /// `len` floats (see [`BufPool::ensure`]). At a step boundary every
-    /// buffer is back in flight toward its pool, so draining first makes
-    /// the resident count exact and repeated calls with a stream of
-    /// varying demands allocate only when the high-water mark rises.
+    /// Sizes the pool so steady-state `acquire`s for `to` never allocate:
+    /// drains the return channel, then tops the pool up until `count`
+    /// resident buffers for `to` fit `len` floats (see
+    /// [`BufPool::ensure`]). At a step boundary every buffer is back in
+    /// flight toward its pool, so draining first makes the resident count
+    /// exact and repeated calls with a stream of varying demands allocate
+    /// only when the high-water mark rises.
     pub fn ensure_pool(&mut self, to: usize, count: usize, len: usize) {
         self.drain_returns();
         self.pool.ensure(to, count, len);
@@ -427,15 +422,9 @@ impl RankCtx {
         self.pending.reserve(msgs);
     }
 
-    /// Pre-fills the pool for this rank's binomial-tree collective
-    /// neighbours (parent and children of the rank-0-rooted allreduce
-    /// tree): `count` buffers of capacity `len` per neighbour.
-    pub fn prewarm_collectives(&mut self, count: usize, len: usize) {
-        self.for_collective_neighbours(|pool, peer| pool.prewarm(peer, count, len));
-    }
-
-    /// Idempotent [`prewarm_collectives`](Self::prewarm_collectives),
-    /// with [`ensure_pool`](Self::ensure_pool)'s top-up semantics.
+    /// [`ensure_pool`](Self::ensure_pool) for this rank's binomial-tree
+    /// collective neighbours (parent and children of the rank-0-rooted
+    /// allreduce tree): `count` buffers fitting `len` per neighbour.
     pub fn ensure_collectives(&mut self, count: usize, len: usize) {
         self.drain_returns();
         self.for_collective_neighbours(|pool, peer| pool.ensure(peer, count, len));
@@ -1083,7 +1072,7 @@ mod tests {
         let mut session = CommSession::new(2);
         session.run_step(|ctx| {
             let other = 1 - ctx.rank();
-            ctx.prewarm(other, 1, 32);
+            ctx.ensure_pool(other, 1, 32);
             let mut payload = ctx.acquire(other, 32);
             payload.resize(32, ctx.rank() as f32);
             ctx.isend(other, 0, payload);

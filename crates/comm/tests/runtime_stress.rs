@@ -139,6 +139,13 @@ fn empty_payloads() {
     });
 }
 
+/// Whether ranks `a` and `b` are adjacent in the rank-0-rooted binomial
+/// tree the collectives run over (the parent of `r` is `r − lowbit(r)`).
+fn tree_adjacent(a: usize, b: usize) -> bool {
+    let parent = |r: usize| r - (r & r.wrapping_neg());
+    (a != 0 && parent(a) == b) || (b != 0 && parent(b) == a)
+}
+
 /// Buffer recycling under adversarial load: 16 ranks exchange two tags
 /// received in the *opposite* order they were sent (exercising the
 /// pending-message buffering), interleaved with allreduces and rotating-
@@ -162,9 +169,14 @@ fn pooled_buffers_recycle_under_reordered_load() {
         let targets = [(me + 1) % p, (me + 5) % p];
         let sources = [(me + p - 1) % p, (me + p - 5) % p];
         for &t in &targets {
-            ctx.prewarm(t, 2, len);
+            ctx.ensure_pool(t, 2, len);
+            if tree_adjacent(me, t) {
+                // A target that is also a collective neighbour keeps two
+                // small buffers for the tree traffic on top.
+                ctx.ensure_pool(t, 4, 4);
+            }
         }
-        ctx.prewarm_collectives(2, 4);
+        ctx.ensure_collectives(2, 4);
         let value = |from: usize, round: usize, tag: u32, k: usize| {
             (from * 100_000 + round * 1_000 + tag as usize + k) as f32
         };

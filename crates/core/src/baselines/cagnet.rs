@@ -9,16 +9,20 @@
 //! data movement the point-to-point algorithm eliminates. The math is
 //! identical to Algorithms 1–2, so results must match the serial oracle
 //! exactly like the P2P trainer does (tested).
+//!
+//! Only the exchange differs: [`CagnetRank`] implements
+//! [`SpmmExchange`] with the turn-wise broadcasts, and training runs the
+//! one [`crate::dist::Driver`] and epoch step — loss, backpropagation,
+//! optimizer and accounting are the P2P trainer's own.
 
-use crate::dist::TAG_BWD;
-use crate::loss;
-use crate::model::{GcnConfig, Params};
+use crate::dist::trainer::{train_full_batch_with, DistOutcome};
+use crate::dist::{ExchangeScratch, SpmmExchange};
+use crate::model::GcnConfig;
 use pargcn_comm::costmodel::{self, MachineProfile, PhaseTime};
-use pargcn_comm::{CommCounters, Communicator, RankCtx};
+use pargcn_comm::RankCtx;
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Csr, Dense};
+use pargcn_matrix::{ComputeCtx, ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
-use std::time::Instant;
 
 /// Per-rank data of the broadcast algorithm: the local rows and, for every
 /// source rank `b`, the column block of the local adjacency to multiply
@@ -79,43 +83,44 @@ impl CagnetPlan {
     }
 }
 
-/// One broadcast-based SpMM sweep: every rank ends with its block of `A·X`.
-/// `scratch` holds the stage payload and is reused across stages, layers
-/// and epochs — after it has grown to the largest block, the sweep's only
-/// allocation is the output matrix.
-fn spmm_broadcast(
-    ctx: &mut RankCtx,
-    plan: &CagnetPlan,
-    rank_plan: &CagnetRank,
-    x_local: &Dense,
-    d: usize,
-    cctx: &ComputeCtx,
-    scratch: &mut Vec<f32>,
-) -> Dense {
-    let mut ax = Dense::zeros(rank_plan.local_rows.len(), d);
-    for b in 0..plan.p {
-        let rows_b = plan.ranks[b].local_rows.len();
-        scratch.clear();
-        if ctx.rank() == b {
-            scratch.extend_from_slice(x_local.data());
-        }
-        ctx.broadcast(b, scratch);
-        let xb = Dense::from_vec(rows_b, d, std::mem::take(scratch));
-        cctx.spmm_into(&rank_plan.blocks[b], &xb, &mut ax, true);
-        *scratch = xb.into_vec();
+/// CAGNET's exchange: one broadcast stage per source rank `b` (every rank
+/// receives `b`'s whole block, needed or not), each multiplied against
+/// the matching column block and accumulated in ascending source rank.
+/// The stage payload lives in `scratch`, reused across stages, layers and
+/// epochs.
+impl SpmmExchange for CagnetRank {
+    fn local_rows(&self) -> &[u32] {
+        &self.local_rows
     }
-    ax
+
+    fn exchange_into(
+        &self,
+        ctx: &mut RankCtx,
+        x_local: &Dense,
+        _tag: u32,
+        cctx: &ComputeCtx,
+        scratch: &mut ExchangeScratch,
+        ax: &mut Dense,
+    ) {
+        let d = x_local.cols();
+        let stage = &mut scratch.stage;
+        ax.fill_zero();
+        for (b, block) in self.blocks.iter().enumerate() {
+            stage.clear();
+            if ctx.rank() == b {
+                stage.extend_from_slice(x_local.data());
+            }
+            ctx.broadcast(b, stage);
+            let xb = Dense::from_vec(block.n_cols(), d, std::mem::take(stage));
+            cctx.spmm_into(block, &xb, ax, true);
+            *stage = xb.into_vec();
+        }
+    }
 }
 
-/// Outcome of a CAGNET training run (mirrors the P2P trainer's).
-pub struct CagnetOutcome {
-    pub losses: Vec<f64>,
-    pub params: Params,
-    pub predictions: Dense,
-    pub counters: Vec<CommCounters>,
-}
-
-/// Full-batch training with the broadcast algorithm.
+/// Full-batch training with the broadcast algorithm: the same driver and
+/// epoch step as [`crate::dist::train_full_batch`], over [`CagnetRank`]'s
+/// exchange.
 // The training entry points take the full problem description by design;
 // a config struct would just rename the eight pieces.
 #[allow(clippy::too_many_arguments)]
@@ -128,26 +133,7 @@ pub fn train_full_batch(
     config: &GcnConfig,
     epochs: usize,
     param_seed: u64,
-) -> CagnetOutcome {
-    train_full_batch_threads(
-        graph, h0, labels, mask, part, config, epochs, param_seed, None,
-    )
-}
-
-/// As [`train_full_batch`] with an explicit per-rank kernel thread count
-/// (`None` = `PARGCN_THREADS` env, else `available_parallelism / p`).
-#[allow(clippy::too_many_arguments)]
-pub fn train_full_batch_threads(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    epochs: usize,
-    param_seed: u64,
-    threads: Option<usize>,
-) -> CagnetOutcome {
+) -> DistOutcome {
     train_full_batch_spec(
         graph,
         h0,
@@ -157,7 +143,7 @@ pub fn train_full_batch_threads(
         config,
         epochs,
         param_seed,
-        ComputeSpec::threads(threads),
+        ComputeSpec::default(),
     )
 }
 
@@ -174,147 +160,11 @@ pub fn train_full_batch_spec(
     epochs: usize,
     param_seed: u64,
     spec: ComputeSpec,
-) -> CagnetOutcome {
-    let a = graph.normalized_adjacency();
-    let plan_f = CagnetPlan::build(&a, part);
-    let plan_b = if graph.directed() {
-        CagnetPlan::build(&a.transpose(), part)
-    } else {
-        plan_f.clone()
-    };
-    let p = part.p();
-    let n = graph.n();
-    let mask_total = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let init = config.init_params(param_seed);
-    let layers = config.layers();
-
-    let locals: Vec<(Dense, Vec<u32>, Vec<bool>)> = plan_f
-        .ranks
-        .iter()
-        .map(|rp| {
-            (
-                gather::gather_rows(h0, &rp.local_rows),
-                rp.local_rows.iter().map(|&v| labels[v as usize]).collect(),
-                rp.local_rows.iter().map(|&v| mask[v as usize]).collect(),
-            )
-        })
-        .collect();
-
-    struct R {
-        pred: Dense,
-        counters: CommCounters,
-        losses: Vec<f64>,
-        params: Params,
-    }
-
-    let results: Vec<R> = Communicator::run(p, |ctx| {
-        let m = ctx.rank();
-        let (h_local, l_local, m_local) = &locals[m];
-        let cctx = ComputeCtx::for_ranks_spec(p, spec);
-        let mut params = init.clone();
-        let mut losses = Vec::with_capacity(epochs);
-        let start = Instant::now();
-
-        // Persistent broadcast payload, shared by every stage of every
-        // sweep in both directions for the whole run.
-        let mut bcast = Vec::new();
-
-        let forward = |ctx: &mut RankCtx, params: &Params, bcast: &mut Vec<f32>| {
-            let pool = cctx.pool();
-            let mut z = Vec::with_capacity(layers);
-            let mut h = vec![h_local.clone()];
-            for k in 1..=layers {
-                let ah = spmm_broadcast(
-                    ctx,
-                    &plan_f,
-                    &plan_f.ranks[m],
-                    &h[k - 1],
-                    config.dims[k - 1],
-                    &cctx,
-                    bcast,
-                );
-                let zk = cctx.matmul(&ah, &params.weights[k - 1]);
-                h.push(config.activation(k).apply_pool(&zk, pool));
-                z.push(zk);
-            }
-            (z, h)
-        };
-
-        for _ in 0..epochs {
-            let (z, h) = forward(ctx, &params, &mut bcast);
-            let probs = loss::softmax_rows(&h[layers]);
-            let mut loss_local = 0.0f64;
-            let mut grad = Dense::zeros(h[layers].rows(), h[layers].cols());
-            for i in 0..h[layers].rows() {
-                if !m_local[i] {
-                    continue;
-                }
-                let y = l_local[i] as usize;
-                loss_local -= (probs.get(i, y).max(1e-12) as f64).ln();
-                for j in 0..grad.cols() {
-                    let ind = if j == y { 1.0 } else { 0.0 };
-                    grad.set(i, j, (probs.get(i, j) - ind) / mask_total as f32);
-                }
-            }
-            let mut buf = [(loss_local / mask_total) as f32];
-            ctx.allreduce_sum(&mut buf);
-            losses.push(buf[0] as f64);
-
-            // Backward with broadcast SpMM (tags in the BWD range keep the
-            // collectives' reserved tags untouched — broadcasts tag
-            // internally, this is only for symmetry with the P2P trainer).
-            let _ = TAG_BWD;
-            let pool = cctx.pool();
-            let mut g = grad.hadamard(
-                &config
-                    .activation(layers)
-                    .derivative_pool(&z[layers - 1], pool),
-            );
-            for k in (1..=layers).rev() {
-                let ag = spmm_broadcast(
-                    ctx,
-                    &plan_b,
-                    &plan_b.ranks[m],
-                    &g,
-                    config.dims[k],
-                    &cctx,
-                    &mut bcast,
-                );
-                let mut delta_w = cctx.matmul_at(&h[k - 1], &ag);
-                let s = if k > 1 {
-                    Some(cctx.matmul_bt(&ag, &params.weights[k - 1]))
-                } else {
-                    None
-                };
-                ctx.allreduce_sum(delta_w.data_mut());
-                params.weights[k - 1].sub_scaled_assign(&delta_w, config.learning_rate);
-                if let Some(s) = s {
-                    g = s.hadamard(&config.activation(k - 1).derivative_pool(&z[k - 2], pool));
-                }
-            }
-        }
-        let (_, h) = forward(ctx, &params, &mut bcast);
-        ctx.add_compute_seconds(start.elapsed().as_secs_f64() - ctx.counters().comm_seconds);
-        ctx.add_compute_flops(cctx.take_flops());
-        R {
-            pred: h.into_iter().last().unwrap(),
-            counters: ctx.counters().clone(),
-            losses,
-            params,
-        }
-    });
-
-    let classes = config.dims[layers];
-    let mut predictions = Dense::zeros(n, classes);
-    for (rp, res) in plan_f.ranks.iter().zip(&results) {
-        gather::scatter_rows(&res.pred, &rp.local_rows, &mut predictions);
-    }
-    CagnetOutcome {
-        losses: results[0].losses.clone(),
-        params: results[0].params.clone(),
-        predictions,
-        counters: results.iter().map(|r| r.counters.clone()).collect(),
-    }
+) -> DistOutcome {
+    let build = |a: &Csr, part: &Partition| CagnetPlan::build(a, part).ranks;
+    train_full_batch_with(
+        graph, h0, labels, mask, part, config, epochs, param_seed, spec, build,
+    )
 }
 
 /// Cost-model time for one CAGNET epoch.
@@ -369,7 +219,9 @@ pub fn simulate_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pargcn_comm::Communicator;
     use pargcn_graph::gen::er;
+    use pargcn_matrix::gather;
     use pargcn_partition::random;
     use pargcn_util::rng::SeedableRng;
     use pargcn_util::rng::StdRng;
@@ -403,16 +255,12 @@ mod tests {
             .map(|r| gather::gather_rows(&h, &r.local_rows))
             .collect();
         let results = Communicator::run(3, |ctx| {
-            let cctx = ComputeCtx::serial();
-            spmm_broadcast(
-                ctx,
-                &plan,
-                &plan.ranks[ctx.rank()],
-                &locals[ctx.rank()],
-                4,
-                &cctx,
-                &mut Vec::new(),
-            )
+            let rp = &plan.ranks[ctx.rank()];
+            let mut ax = Dense::zeros(rp.local_rows.len(), 4);
+            let mut scratch = ExchangeScratch::new(3);
+            let x = &locals[ctx.rank()];
+            rp.exchange_into(ctx, x, 0, &ComputeCtx::serial(), &mut scratch, &mut ax);
+            ax
         });
         for (rp, res) in plan.ranks.iter().zip(&results) {
             for (li, &gv) in rp.local_rows.iter().enumerate() {

@@ -19,12 +19,16 @@
 //! `ΔW` partials, so a steady-state epoch allocates no matrices at all.
 
 use super::workspace::EpochWorkspace;
-use super::{feedforward, RankState, TAG_BWD};
+use super::{RankState, SpmmExchange, TAG_BWD};
 
 /// Runs backpropagation from the local output-layer loss gradient
 /// `∇_{H^L} Jₘ` (in `ws.grad`, filled by the loss), updating `st.params`
 /// in place (identically on all ranks).
-pub fn run(ctx: &mut pargcn_comm::RankCtx, st: &mut RankState<'_>, ws: &mut EpochWorkspace) {
+pub fn run<P: SpmmExchange>(
+    ctx: &mut pargcn_comm::RankCtx,
+    st: &mut RankState<'_, P>,
+    ws: &mut EpochWorkspace,
+) {
     // Cheap Arc clone so the pool stays usable across `&mut st` updates.
     let cctx = st.ctx.clone();
     let pool = cctx.pool();
@@ -49,10 +53,9 @@ pub fn run(ctx: &mut pargcn_comm::RankCtx, st: &mut RankState<'_>, ws: &mut Epoc
             ..
         } = ws;
 
-        // Lines 4–10: the point-to-point exchange computing (Â'Gᵏ)ₘ.
-        feedforward::spmm_exchange_into(
+        // Lines 4–10: the exchange computing (Â'Gᵏ)ₘ.
+        st.plan_b.exchange_into(
             ctx,
-            st.plan_b,
             &g[k - 1],
             TAG_BWD + k as u32,
             &cctx,

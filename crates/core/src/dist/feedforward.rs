@@ -21,14 +21,15 @@
 //! steady-state forward pass allocates nothing on the comm path.
 
 use super::workspace::{EpochWorkspace, ExchangeScratch};
-use super::{RankState, TAG_FWD};
+use super::{RankState, SpmmExchange, TAG_FWD};
 use crate::model::LayerOrder;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{gather, ComputeCtx, Dense};
 
 /// Runs the full feedforward pass into `ws.fwd` (`Z¹…Z^L`, `H¹…H^L`).
-/// Local kernels (SpMM/DMM/activation) run on the rank's thread pool.
-pub fn run(ctx: &mut RankCtx, st: &RankState<'_>, ws: &mut EpochWorkspace) {
+/// Local kernels (SpMM/DMM/activation) run on the rank's thread pool; the
+/// SpMM's remote rows arrive through `P`'s exchange.
+pub fn run<P: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, P>, ws: &mut EpochWorkspace) {
     let cctx = &st.ctx;
     let pool = cctx.pool();
     let layers = st.config.layers();
@@ -46,7 +47,8 @@ pub fn run(ctx: &mut RankCtx, st: &RankState<'_>, ws: &mut EpochWorkspace) {
         match st.config.order {
             LayerOrder::SpmmFirst => {
                 let ax = &mut ax_f[k - 1];
-                spmm_exchange_into(ctx, st.plan_f, h_prev, tag, cctx, exchange, ax);
+                st.plan_f
+                    .exchange_into(ctx, h_prev, tag, cctx, exchange, ax);
                 cctx.matmul_into(ax, w, &mut fwd.z[k - 1], false);
             }
             LayerOrder::DmmFirst => {
@@ -55,15 +57,8 @@ pub fn run(ctx: &mut RankCtx, st: &RankState<'_>, ws: &mut EpochWorkspace) {
                 // rows instead of d_in-wide ones). The aggregate IS `Zᵏ`,
                 // so the exchange accumulates straight into it.
                 cctx.matmul_into(h_prev, w, &mut hw[k - 1], false);
-                spmm_exchange_into(
-                    ctx,
-                    st.plan_f,
-                    &hw[k - 1],
-                    tag,
-                    cctx,
-                    exchange,
-                    &mut fwd.z[k - 1],
-                );
+                st.plan_f
+                    .exchange_into(ctx, &hw[k - 1], tag, cctx, exchange, &mut fwd.z[k - 1]);
             }
         }
         st.config

@@ -1,30 +1,91 @@
 //! The distributed training algorithms: Algorithm 1 (parallel feedforward)
 //! and Algorithm 2 (parallel backpropagation) over the message-passing
-//! runtime, orchestrated by [`trainer`].
+//! runtime, run on every rank by the one training [`driver`].
+//!
+//! The layer loop is written once, generic over [`SpmmExchange`] — the
+//! only part that varies between algorithms is how the SpMM's remote rows
+//! arrive. [`RankPlan`] exchanges exactly the needed rows point-to-point
+//! (the paper's algorithm); the CAGNET baseline
+//! ([`crate::baselines::cagnet::CagnetRank`]) broadcasts whole blocks
+//! turn by turn. Full-batch training ([`trainer`]), the mini-batch engine
+//! and the per-batch mini-batch oracle ([`crate::minibatch`]) and CAGNET
+//! all step the same [`Driver`].
 
 pub mod backprop;
+pub mod driver;
 pub mod feedforward;
 pub mod trainer;
 pub mod workspace;
 
-pub use trainer::{train_full_batch, train_full_batch_spec, train_full_batch_threads, DistOutcome};
-pub use workspace::{
-    prewarm_comm_pools, reserve_epoch_queues, BatchWorkspace, EpochWorkspace, ExchangeScratch,
-};
+pub use driver::{Driver, RankData, StepInput};
+pub use trainer::{train_full_batch, train_full_batch_spec, DistOutcome};
+pub use workspace::{prewarm_comm_pools, EpochWorkspace, ExchangeScratch};
 
 use crate::model::{GcnConfig, Params};
 use crate::optim::OptimizerState;
 use crate::plan::RankPlan;
+use pargcn_comm::RankCtx;
 use pargcn_matrix::{ComputeCtx, Dense};
+
+/// How one rank's SpMM `A·X` receives the rows of `X` it does not own —
+/// the single point where the training algorithms differ.
+pub trait SpmmExchange: Sync {
+    /// Global ids of the rows this rank owns, in local order (their count
+    /// is the rank's local row count).
+    fn local_rows(&self) -> &[u32];
+
+    /// Overwrites `ax` with this rank's block of `A · X`, where `x_local`
+    /// is the locally-owned row block of `X`. `tag` keys the layer and
+    /// direction; `scratch` persists across every exchange of a run.
+    fn exchange_into(
+        &self,
+        ctx: &mut RankCtx,
+        x_local: &Dense,
+        tag: u32,
+        cctx: &ComputeCtx,
+        scratch: &mut ExchangeScratch,
+        ax: &mut Dense,
+    );
+
+    /// Tops this rank's payload pools and queues up for one epoch over
+    /// `plan_f`/`plan_b` (idempotent; called before every driver step).
+    /// The default sizes nothing and lets pools grow on demand.
+    fn prewarm(ctx: &mut RankCtx, plan_f: &Self, plan_b: &Self, config: &GcnConfig) {
+        let _ = (ctx, plan_f, plan_b, config);
+    }
+}
+
+/// The paper's point-to-point exchange (Algorithm 1, lines 3–9).
+impl SpmmExchange for RankPlan {
+    fn local_rows(&self) -> &[u32] {
+        &self.local_rows
+    }
+
+    fn exchange_into(
+        &self,
+        ctx: &mut RankCtx,
+        x_local: &Dense,
+        tag: u32,
+        cctx: &ComputeCtx,
+        scratch: &mut ExchangeScratch,
+        ax: &mut Dense,
+    ) {
+        feedforward::spmm_exchange_into(ctx, self, x_local, tag, cctx, scratch, ax);
+    }
+
+    fn prewarm(ctx: &mut RankCtx, plan_f: &Self, plan_b: &Self, config: &GcnConfig) {
+        prewarm_comm_pools(ctx, plan_f, plan_b, config);
+    }
+}
 
 /// Everything one rank holds during training: its slice of the plan and
 /// data, plus the replicated parameters.
-pub struct RankState<'a> {
+pub struct RankState<'a, P = RankPlan> {
     /// Feedforward-direction plan (pattern of `Â`).
-    pub plan_f: &'a RankPlan,
+    pub plan_f: &'a P,
     /// Backpropagation-direction plan (pattern of `Âᵀ`; same object as
     /// `plan_f` for undirected graphs).
-    pub plan_b: &'a RankPlan,
+    pub plan_b: &'a P,
     pub config: &'a GcnConfig,
     /// Replicated parameter matrices (identical on every rank).
     pub params: Params,

@@ -1,17 +1,17 @@
-//! Orchestration of distributed full-batch training: builds the plans,
-//! distributes the data, spawns the ranks, and assembles global results.
+//! Distributed full-batch training — builds the plans and steps one
+//! [`Driver`] over them — and the per-rank epoch step every trainer runs.
 
-use super::workspace::{prewarm_comm_pools, EpochWorkspace};
-use super::{backprop, feedforward, RankState};
+use super::driver::{Driver, RankData, StepInput};
+use super::workspace::EpochWorkspace;
+use super::{backprop, feedforward, RankState, SpmmExchange};
 use crate::loss;
 use crate::model::{GcnConfig, Params};
+use crate::optim::OptimizerState;
 use crate::plan::CommPlan;
-use pargcn_comm::RankCtx;
-use pargcn_comm::{CommCounters, Communicator};
+use pargcn_comm::{CommCounters, RankCtx};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
+use pargcn_matrix::{ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
-use std::time::Instant;
 
 /// Global results of a distributed training run.
 pub struct DistOutcome {
@@ -32,14 +32,6 @@ impl DistOutcome {
     pub fn wall_seconds(&self) -> f64 {
         self.rank_seconds.iter().copied().fold(0.0, f64::max)
     }
-}
-
-struct RankResult {
-    pred: Dense,
-    counters: CommCounters,
-    losses: Vec<f64>,
-    params: Params,
-    seconds: f64,
 }
 
 /// Trains an L-layer GCN for `epochs` full-batch epochs on `p` ranks
@@ -64,27 +56,6 @@ pub fn train_full_batch(
     epochs: usize,
     param_seed: u64,
 ) -> DistOutcome {
-    train_full_batch_threads(
-        graph, h0, labels, mask, part, config, epochs, param_seed, None,
-    )
-}
-
-/// As [`train_full_batch`] with an explicit per-rank kernel thread count
-/// (`None` = `PARGCN_THREADS` env, else `available_parallelism / p`). The
-/// thread count never changes results: pooled kernels are bitwise
-/// identical to serial (see the determinism test-suite).
-#[allow(clippy::too_many_arguments)]
-pub fn train_full_batch_threads(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    epochs: usize,
-    param_seed: u64,
-    threads: Option<usize>,
-) -> DistOutcome {
     train_full_batch_spec(
         graph,
         h0,
@@ -94,13 +65,14 @@ pub fn train_full_batch_threads(
         config,
         epochs,
         param_seed,
-        ComputeSpec::threads(threads),
+        ComputeSpec::default(),
     )
 }
 
 /// As [`train_full_batch`] with a full per-rank compute spec (thread
-/// count and kernel engine). Neither choice ever changes results: all
-/// engines and pool splits are bitwise identical (determinism suite).
+/// count and kernel engine; `None` fields fall back to `PARGCN_THREADS` /
+/// `PARGCN_KERNEL`). Neither choice ever changes results: all engines and
+/// pool splits are bitwise identical (determinism suite).
 #[allow(clippy::too_many_arguments)]
 pub fn train_full_batch_spec(
     graph: &Graph,
@@ -113,161 +85,70 @@ pub fn train_full_batch_spec(
     param_seed: u64,
     spec: ComputeSpec,
 ) -> DistOutcome {
-    let a = graph.normalized_adjacency();
-    let plan_f = CommPlan::build(&a, part);
-    let plan_b = if graph.directed() {
-        CommPlan::build(&a.transpose(), part)
-    } else {
-        plan_f.clone()
-    };
-    let init = config.init_params(param_seed);
-    train_with_plans_spec(
-        &plan_f, &plan_b, h0, labels, mask, config, epochs, init, spec,
+    let build = |a: &Csr, part: &Partition| CommPlan::build(a, part).ranks;
+    train_full_batch_with(
+        graph, h0, labels, mask, part, config, epochs, param_seed, spec, build,
     )
 }
 
-/// Training core over prebuilt plans with explicit initial parameters
-/// (mini-batch training reuses this per batch, carrying parameters over).
+/// Full-batch training over the per-rank plans `build` makes of `Â` (and
+/// of `Âᵀ` for directed graphs), whatever their exchange: one [`Driver`]
+/// stepped `epochs` times, then a final forward pass for the predictions.
 #[allow(clippy::too_many_arguments)]
-pub fn train_with_plans(
-    plan_f: &CommPlan,
-    plan_b: &CommPlan,
+pub(crate) fn train_full_batch_with<P: SpmmExchange>(
+    graph: &Graph,
     h0: &Dense,
     labels: &[u32],
     mask: &[bool],
+    part: &Partition,
     config: &GcnConfig,
     epochs: usize,
-    init: Params,
-) -> DistOutcome {
-    train_with_plans_threads(plan_f, plan_b, h0, labels, mask, config, epochs, init, None)
-}
-
-/// As [`train_with_plans`] with an explicit per-rank kernel thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_plans_threads(
-    plan_f: &CommPlan,
-    plan_b: &CommPlan,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    config: &GcnConfig,
-    epochs: usize,
-    init: Params,
-    threads: Option<usize>,
-) -> DistOutcome {
-    train_with_plans_spec(
-        plan_f,
-        plan_b,
-        h0,
-        labels,
-        mask,
-        config,
-        epochs,
-        init,
-        ComputeSpec::threads(threads),
-    )
-}
-
-/// As [`train_with_plans`] with a full per-rank compute spec.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_plans_spec(
-    plan_f: &CommPlan,
-    plan_b: &CommPlan,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    config: &GcnConfig,
-    epochs: usize,
-    init: Params,
+    param_seed: u64,
     spec: ComputeSpec,
+    build: impl Fn(&Csr, &Partition) -> Vec<P>,
 ) -> DistOutcome {
-    let p = plan_f.p;
-    let n = plan_f.n;
+    let n = graph.n();
     assert_eq!(h0.rows(), n, "feature rows mismatch");
     assert_eq!(labels.len(), n, "labels mismatch");
     assert_eq!(mask.len(), n, "mask mismatch");
-    let mask_total = mask.iter().filter(|&&m| m).count().max(1) as f64;
-
-    // Pre-slice every rank's local data on the main thread.
-    let locals: Vec<(Dense, Vec<u32>, Vec<bool>)> = plan_f
-        .ranks
+    let a = graph.normalized_adjacency();
+    let plan_f = build(&a, part);
+    let plan_b = graph.directed().then(|| build(&a.transpose(), part));
+    let plan_b = plan_b.as_deref().unwrap_or(&plan_f);
+    let data: Vec<RankData> = plan_f
         .iter()
-        .map(|rp| {
-            let h_local = gather::gather_rows(h0, &rp.local_rows);
-            let l_local: Vec<u32> = rp.local_rows.iter().map(|&v| labels[v as usize]).collect();
-            let m_local: Vec<bool> = rp.local_rows.iter().map(|&v| mask[v as usize]).collect();
-            (h_local, l_local, m_local)
-        })
+        .map(|rp| RankData::gather(rp.local_rows(), h0, labels, mask))
         .collect();
-
-    let results: Vec<RankResult> = Communicator::run(p, |ctx| {
-        let m = ctx.rank();
-        let (h_local, l_local, m_local) = &locals[m];
-        let mut st = RankState {
-            plan_f: &plan_f.ranks[m],
-            plan_b: &plan_b.ranks[m],
-            config,
-            params: init.clone(),
-            h0: h_local,
-            labels: l_local,
-            mask: m_local,
-            mask_total,
-            opt_state: crate::optim::OptimizerState::new(config.optimizer, &config.shapes()),
-            ctx: ComputeCtx::for_ranks_spec(p, spec),
-        };
-        // Every buffer the epoch loop reuses, allocated exactly once:
-        // the comm pools (sized so steady-state acquires always hit) and
-        // the layer workspaces.
-        prewarm_comm_pools(ctx, st.plan_f, st.plan_b, config);
-        let mut ws = EpochWorkspace::new(st.plan_f, config, p, &st.ctx);
-        let start = Instant::now();
-        let mut losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            losses.push(epoch_step(ctx, &mut st, &mut ws));
-        }
-        // Final predictions with the trained parameters.
-        feedforward::run(ctx, &st, &mut ws);
-        let pred = ws.fwd.output().clone();
-        let seconds = start.elapsed().as_secs_f64();
-        // Compute time is the non-blocked complement of the runtime-timed
-        // comm seconds, so `comm + compute == wall` per rank (fig4a split);
-        // the kernels' shape-counted FLOPs give the matching rate.
-        ctx.add_compute_seconds(seconds - ctx.counters().comm_seconds);
-        ctx.add_compute_flops(st.ctx.take_flops());
-        RankResult {
-            pred,
-            counters: ctx.counters().clone(),
-            losses,
-            params: st.params,
-            seconds,
-        }
-    });
-
-    // Assemble global predictions.
-    let classes = config.dims[config.layers()];
-    let mut predictions = Dense::zeros(n, classes);
-    for (rp, res) in plan_f.ranks.iter().zip(&results) {
-        gather::scatter_rows(&res.pred, &rp.local_rows, &mut predictions);
-    }
-    let losses = results[0].losses.clone();
-    let params = results[0].params.clone();
-    let counters = results.iter().map(|r| r.counters.clone()).collect();
-    let rank_seconds = results.iter().map(|r| r.seconds).collect();
+    let input = StepInput {
+        plan_f: &plan_f,
+        plan_b,
+        data: &data,
+        mask_total: mask.iter().filter(|&&m| m).count().max(1) as f64,
+    };
+    let init = config.init_params(param_seed);
+    let opt_state = OptimizerState::new(config.optimizer, &config.shapes());
+    let mut driver = Driver::new(part.p(), config, spec, init, opt_state);
+    let losses = (0..epochs).map(|_| driver.step(&input, || {})).collect();
+    let predictions = driver.predict(&input);
     DistOutcome {
         losses,
-        params,
+        params: driver.params(),
         predictions,
-        counters,
-        rank_seconds,
+        counters: driver.counters(),
+        rank_seconds: driver.rank_seconds(),
     }
 }
 
 /// One full training epoch for one rank — forward pass, global loss,
 /// backpropagation/update — over the persistent workspace. Returns the
-/// global loss (identical on every rank). The trainer loop is just this
-/// in a loop; tests (e.g. the steady-state allocation test) drive epochs
+/// global loss (identical on every rank). Every driver step is this on
+/// every rank; tests (e.g. the steady-state allocation test) drive epochs
 /// individually through it.
-pub fn epoch_step(ctx: &mut RankCtx, st: &mut RankState<'_>, ws: &mut EpochWorkspace) -> f64 {
+pub fn epoch_step<P: SpmmExchange>(
+    ctx: &mut RankCtx,
+    st: &mut RankState<'_, P>,
+    ws: &mut EpochWorkspace,
+) -> f64 {
     feedforward::run(ctx, st, ws);
     let loss_local = local_loss_and_grad(
         ws.fwd.output(),

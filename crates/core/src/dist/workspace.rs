@@ -10,16 +10,17 @@
 //! heap allocation on its communication path, which the
 //! counting-allocator test (`no_alloc_steady_state`) pins down.
 
-use super::LocalForward;
+use super::{LocalForward, SpmmExchange};
 use crate::model::{GcnConfig, LayerOrder};
 use crate::plan::RankPlan;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{ComputeCtx, Dense};
 
-/// Scratch state of one in-flight [`spmm_exchange_into`] call: a slot per
-/// remote block for payloads that arrived out of plan order, plus the
-/// peer → slot map. Reused across every exchange of a run (forward and
-/// backward plans may have different receive sets; `begin` re-keys it).
+/// Scratch state of one in-flight exchange. For [`spmm_exchange_into`]:
+/// a slot per remote block for payloads that arrived out of plan order,
+/// plus the peer → slot map, re-keyed by `begin` (forward and backward
+/// plans may have different receive sets). For CAGNET's broadcasts: the
+/// stage payload. Reused across every exchange of a run.
 ///
 /// [`spmm_exchange_into`]: super::feedforward::spmm_exchange_into
 pub struct ExchangeScratch {
@@ -28,6 +29,8 @@ pub struct ExchangeScratch {
     pub(crate) arrived: Vec<Option<Vec<f32>>>,
     /// Peer rank → remote-block index for the current exchange.
     pub(crate) peer_slot: Vec<u32>,
+    /// One broadcast stage's block, grown once to the largest block.
+    pub(crate) stage: Vec<f32>,
 }
 
 impl ExchangeScratch {
@@ -36,6 +39,7 @@ impl ExchangeScratch {
         ExchangeScratch {
             arrived: Vec::new(),
             peer_slot: vec![u32::MAX; p],
+            stage: Vec::new(),
         }
     }
 
@@ -88,8 +92,8 @@ impl EpochWorkspace {
     /// job, sized from the plan and model shape, and pre-sizes the
     /// compute context's kernel packing scratch for the run's widest
     /// operands. Called once per run, before the first epoch.
-    pub fn new(plan: &RankPlan, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
-        let n = plan.n_local();
+    pub fn new<P: SpmmExchange>(plan: &P, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
+        let n = plan.local_rows().len();
         let dims = &config.dims;
         let layers = config.layers();
         // The blocked GEMM engine packs its widest B operand (≤ dmax²
@@ -124,15 +128,21 @@ impl EpochWorkspace {
         }
     }
 
-    /// Re-dimensions every row-sized buffer for a plan with a different
-    /// local row count (the mini-batch engine's per-batch call). Column
-    /// widths are fixed by the model config, `dw` is row-count-independent,
-    /// and `exchange` is re-keyed by its own `begin`; everything row-sized
-    /// grows once to the high-water batch and is fully overwritten before
-    /// being read (the same argument that makes cross-epoch reuse bitwise
-    /// safe), so steady-state batches of bounded size allocate nothing.
-    pub fn resize_for_plan(&mut self, plan: &RankPlan, config: &GcnConfig, cctx: &ComputeCtx) {
-        let n = plan.n_local();
+    /// Re-dimensions every row-sized buffer for `plan`'s local row count
+    /// (the driver's per-step call; a no-op unless the row count changed,
+    /// as between mini-batches). Column widths are fixed by the model
+    /// config, `dw` is row-count-independent, and `exchange` is re-keyed
+    /// by its own `begin`; everything row-sized grows once to the
+    /// high-water batch and is fully overwritten before being read (the
+    /// same argument that makes cross-epoch reuse bitwise safe), so
+    /// steady-state batches of bounded size allocate nothing.
+    pub fn resize_for_plan<P: SpmmExchange>(
+        &mut self,
+        plan: &P,
+        config: &GcnConfig,
+        cctx: &ComputeCtx,
+    ) {
+        let n = plan.local_rows().len();
         let dmax = config.dims.iter().copied().max().unwrap_or(0);
         cctx.reserve_pack(n.max(dmax) * dmax);
         for m in self
@@ -152,51 +162,21 @@ impl EpochWorkspace {
     }
 }
 
-/// A grow-once [`EpochWorkspace`] for the mini-batch engine: created on
-/// the first batch, row-resized (high-water-marked) for every later one,
-/// so a steady stream of bounded-size batches trains without workspace
-/// allocation (DESIGN.md §11).
-#[derive(Default)]
-pub struct BatchWorkspace {
-    ws: Option<EpochWorkspace>,
-}
-
-impl BatchWorkspace {
-    pub fn new() -> Self {
-        BatchWorkspace::default()
-    }
-
-    /// The workspace sized for `plan`, creating it on first use.
-    pub fn begin_batch(
-        &mut self,
-        plan: &RankPlan,
-        config: &GcnConfig,
-        p: usize,
-        cctx: &ComputeCtx,
-    ) -> &mut EpochWorkspace {
-        match &mut self.ws {
-            slot @ None => slot.insert(EpochWorkspace::new(plan, config, p, cctx)),
-            Some(ws) => {
-                ws.resize_for_plan(plan, config, cctx);
-                ws
-            }
-        }
-    }
-}
-
 /// Pre-fills this rank's payload pools so every steady-state `acquire`
 /// is a hit: two buffers per point-to-point destination (one in flight,
 /// one still travelling back from the previous layer — the FIFO
 /// non-overtaking argument in DESIGN.md §9 bounds the outstanding count
 /// at two) sized for the widest layer, plus two per binomial-tree
-/// collective neighbour sized for the largest `ΔW` payload.
+/// collective neighbour sized for the largest `ΔW` payload — and
+/// reserves the inbound queues for one epoch's messages.
 ///
-/// Idempotent (`ensure_pool` tops up instead of accreting), so callers
-/// with a *stream* of plans — the mini-batch engine, one plan per batch
-/// — call this at every step boundary: each batch gets its own analytic
-/// worst case, pools grow only when the stream hits a new high-water
-/// batch, and steady state stays provably allocation-free rather than
-/// relying on timing-dependent grow-on-miss convergence.
+/// Idempotent (`ensure_pool` tops up instead of accreting, queue
+/// reservation never shrinks), so the driver calls this at every step
+/// boundary: with a *stream* of plans — the mini-batch engine, one plan
+/// per batch — each batch gets its own analytic worst case, pools grow
+/// only when the stream hits a new high-water batch, and steady state
+/// stays provably allocation-free rather than relying on timing-dependent
+/// grow-on-miss convergence.
 pub fn prewarm_comm_pools(
     ctx: &mut RankCtx,
     plan_f: &RankPlan,
@@ -212,20 +192,6 @@ pub fn prewarm_comm_pools(
         .max()
         .unwrap_or(1);
     ctx.ensure_collectives(2, dw_max);
-    reserve_epoch_queues(ctx, plan_f, plan_b, config);
-}
-
-/// Pre-sizes this rank's inbound queues for one epoch under the given
-/// plans. Split from [`prewarm_comm_pools`] because `prewarm` *accretes*
-/// pool buffers (calling it per batch would grow the pools without bound)
-/// while queue reservation is idempotent — the mini-batch engine prewarms
-/// once per session and re-reserves queues per batch as plans change.
-pub fn reserve_epoch_queues(
-    ctx: &mut RankCtx,
-    plan_f: &RankPlan,
-    plan_b: &RankPlan,
-    config: &GcnConfig,
-) {
     // Queue depth at this rank is bounded by one epoch's worth of
     // inbound traffic (the per-layer allreduces stop senders running
     // further ahead): per layer, one forward and one backward exchange

@@ -10,12 +10,14 @@
 //!    (backpropagation) over the [`pargcn_comm`] runtime: non-blocking
 //!    point-to-point row transfers for the SpMM, purely local DMMs against
 //!    the replicated parameter matrices, and one allreduce per layer for
-//!    `ΔW`;
+//!    `ΔW` — stepped on every rank by the one training [`dist::Driver`]
+//!    that full-batch, mini-batch and CAGNET training share;
 //! 3. [`serial`] is the single-node reference (the paper's DGL baseline
 //!    role) and the correctness oracle: distributed training must reproduce
 //!    its losses and predictions to float tolerance for *any* partition;
 //! 4. [`baselines::cagnet`] is the CAGNET-style broadcast algorithm the
-//!    paper compares against;
+//!    paper compares against — the same training loop over a broadcast
+//!    [`dist::SpmmExchange`];
 //! 5. [`minibatch`] samples subgraphs and trains on them, the workload the
 //!    stochastic hypergraph model (§4.3.3) optimizes for.
 //!

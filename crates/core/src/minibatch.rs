@@ -3,23 +3,21 @@
 //! Each step samples a subgraph `G' ⊂ G`, normalizes its adjacency, builds
 //! the per-batch communication plan under the *global* row partition
 //! (vertices keep their home processor — DistDGL-style co-location), and
-//! runs one full-batch step on the subgraph, carrying parameters across
-//! batches. [`expected_comm_volume`] measures the per-batch point-to-point
-//! volume a partition induces — the quantity Fig. 5 compares between HP
-//! and SHP.
+//! runs one [`Driver`] step on the subgraph, carrying parameters and
+//! optimizer state across batches. [`MinibatchEngine`] keeps one driver
+//! for the whole batch stream; [`train_spec`] builds a fresh one per batch
+//! and is the engine's independent oracle. [`expected_comm_volume`]
+//! measures the per-batch point-to-point volume a partition induces — the
+//! quantity Fig. 5 compares between HP and SHP.
 
-use crate::dist::trainer::{epoch_step, train_with_plans_spec, DistOutcome};
-use crate::dist::workspace::{prewarm_comm_pools, BatchWorkspace};
-use crate::dist::RankState;
+use crate::dist::{Driver, RankData, StepInput};
 use crate::model::{GcnConfig, Params};
-use crate::optim::{Optimizer, OptimizerState};
+use crate::optim::OptimizerState;
 use crate::plan::{CommPlan, PlanBuilder};
-use pargcn_comm::{CommCounters, CommSession, RankCtx};
+use pargcn_comm::CommCounters;
 use pargcn_graph::{Graph, SubgraphScratch};
-use pargcn_matrix::{gather, norm, ComputeCtx, ComputeSpec, Dense};
+use pargcn_matrix::{gather, norm, ComputeSpec, Dense};
 use pargcn_partition::{metrics, Partition};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Restriction of a global partition to a batch's vertices: part ids keep
 /// their meaning (rank `m` still owns its vertices), rows renumber to the
@@ -104,6 +102,12 @@ pub fn train(
 
 /// As [`train`] with an explicit per-rank compute spec (thread count and
 /// kernel engine), applied to every batch step.
+///
+/// Every batch gets fresh plans from [`CommPlan::build`] and a fresh
+/// [`Driver`] (new ranks, pools and workspaces); only the parameters and
+/// optimizer state carry over. With no persistent pools, no
+/// [`PlanBuilder`] and no pipelining, this is the independent oracle the
+/// [`MinibatchEngine`] must match bitwise.
 #[allow(clippy::too_many_arguments)]
 pub fn train_spec(
     graph: &Graph,
@@ -116,7 +120,10 @@ pub fn train_spec(
     param_seed: u64,
     spec: ComputeSpec,
 ) -> MinibatchOutcome {
-    let mut params = config.init_params(param_seed);
+    let mut state = (
+        config.init_params(param_seed),
+        OptimizerState::new(config.optimizer, &config.shapes()),
+    );
     let mut losses = Vec::with_capacity(batches.len());
     let mut total_volume = 0u64;
     let mut skipped_batches = 0usize;
@@ -126,11 +133,9 @@ pub fn train_spec(
         let a = norm::normalize_adjacency(sub.adjacency());
         let sub_part = restrict_partition(part, batch);
         let plan_f = CommPlan::build(&a, &sub_part);
-        let plan_b = if sub.directed() {
-            CommPlan::build(&a.transpose(), &sub_part)
-        } else {
-            plan_f.clone()
-        };
+        let plan_b = sub
+            .directed()
+            .then(|| CommPlan::build(&a.transpose(), &sub_part));
 
         let m_batch: Vec<bool> = batch.iter().map(|&v| mask[v as usize]).collect();
         if !m_batch.iter().any(|&m| m) {
@@ -145,46 +150,29 @@ pub fn train_spec(
         total_volume += plan_f.total_volume_rows();
         let h_batch = gather::gather_rows(h0, batch);
         let l_batch: Vec<u32> = batch.iter().map(|&v| labels[v as usize]).collect();
-        let out: DistOutcome = train_with_plans_spec(
-            &plan_f, &plan_b, &h_batch, &l_batch, &m_batch, config, 1, params, spec,
-        );
-        params = out.params;
-        losses.push(out.losses[0]);
+        let data: Vec<RankData> = plan_f
+            .ranks
+            .iter()
+            .map(|rp| RankData::gather(&rp.local_rows, &h_batch, &l_batch, &m_batch))
+            .collect();
+        let input = StepInput {
+            plan_f: &plan_f.ranks,
+            plan_b: &plan_b.as_ref().unwrap_or(&plan_f).ranks,
+            data: &data,
+            mask_total: m_batch.iter().filter(|&&m| m).count() as f64,
+        };
+        let (params, opt_state) = state;
+        let mut driver = Driver::new(part.p(), config, spec, params, opt_state);
+        losses.push(driver.step(&input, || {}));
+        state = driver.into_state();
     }
     MinibatchOutcome {
         losses,
-        params,
+        params: state.0,
         total_volume_rows: total_volume,
         skipped_batches,
         skipped_volume_rows: skipped_volume,
     }
-}
-
-/// As [`train_spec`], but through a freshly constructed persistent
-/// [`MinibatchEngine`] — same outputs bitwise, batch-sized per-step cost.
-#[allow(clippy::too_many_arguments)]
-pub fn train_spec_persistent(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    batches: &[Vec<u32>],
-    param_seed: u64,
-    spec: ComputeSpec,
-) -> MinibatchOutcome {
-    let mut engine = MinibatchEngine::new(graph, h0, labels, mask, part, config, param_seed, spec);
-    engine.train(batches)
-}
-
-/// One rank's per-batch slice, gathered on the main thread while the
-/// ranks train the previous batch.
-struct RankLocal {
-    /// Feature rows of the rank's owned batch vertices (grow-once).
-    h: Dense,
-    labels: Vec<u32>,
-    mask: Vec<bool>,
 }
 
 /// Everything one batch needs to train, built ahead of time into the
@@ -196,7 +184,7 @@ struct BatchPrep {
     plan_f: CommPlan,
     /// `None` for undirected graphs (backward reuses `plan_f`).
     plan_b: Option<CommPlan>,
-    locals: Vec<RankLocal>,
+    locals: Vec<RankData>,
     mask_total: f64,
     /// False when the batch sampled no labelled vertex: no step runs.
     trainable: bool,
@@ -213,7 +201,7 @@ impl BatchPrep {
             },
             plan_b: None,
             locals: (0..p)
-                .map(|_| RankLocal {
+                .map(|_| RankData {
                     h: Dense::zeros(0, width),
                     labels: Vec::new(),
                     mask: Vec::new(),
@@ -225,46 +213,33 @@ impl BatchPrep {
         }
     }
 
-    fn backward_rank(&self, m: usize) -> &crate::plan::RankPlan {
-        match &self.plan_b {
-            Some(pb) => &pb.ranks[m],
-            None => &self.plan_f.ranks[m],
+    /// The driver's view of the batch.
+    fn input(&self) -> StepInput<'_> {
+        StepInput {
+            plan_f: &self.plan_f.ranks,
+            plan_b: &self.plan_b.as_ref().unwrap_or(&self.plan_f).ranks,
+            data: &self.locals,
+            mask_total: self.mask_total,
         }
     }
 }
 
-/// Per-rank persistent training state, owned by the engine and visited by
-/// that rank's step closures. The `Mutex` is uncontended — only rank `m`'s
-/// thread (or the main thread between steps) ever touches slot `m`.
-struct RankSlot {
-    /// Replicated parameters (lock-step across slots).
-    params: Params,
-    /// Replicated optimizer state.
-    opt_state: OptimizerState,
-    /// The rank's kernel thread pool, built once for the whole stream.
-    cctx: ComputeCtx,
-    /// Grow-once epoch workspace, high-water-marked across batches.
-    ws: BatchWorkspace,
-    last_loss: f64,
-}
-
 /// Persistent mini-batch training engine (DESIGN.md §11).
 ///
-/// [`train_spec`] pays full startup cost per batch: `Communicator::run`
+/// [`train_spec`] pays full startup cost per batch: a fresh [`Driver`]
 /// respawns all `p` rank threads and kernel pools, re-prewarms the comm
 /// pools, reallocates an `EpochWorkspace`, and `CommPlan::build` zeroes
 /// O(n·p) scratch — all wrapped around a *single* training step. The
 /// engine hoists every one of those out of the loop:
 ///
-/// * a [`CommSession`] keeps the rank threads, channels, buffer pools and
-///   counters alive across the whole batch stream;
-/// * per-rank [`ComputeCtx`]s (kernel pools) are built once;
-/// * a [`PlanBuilder`] and [`SubgraphScratch`] reuse their maps, and the
-///   [`BatchWorkspace`] grows once to the high-water batch;
+/// * one [`Driver`] keeps the rank threads, channels, buffer pools,
+///   counters, kernel pools and grow-once workspaces alive across the
+///   whole batch stream, stepping one plan per batch;
+/// * a [`PlanBuilder`] and [`SubgraphScratch`] reuse their maps;
 /// * batch *t+1*'s subgraph, normalized adjacency, plan, and data slices
 ///   are prepared on the main thread *while the ranks train batch t*
-///   (double buffer). Prep is a pure function of the batch, so the
-///   pipelining cannot change results.
+///   (double buffer; the driver step's main-thread closure). Prep is a
+///   pure function of the batch, so the pipelining cannot change results.
 ///
 /// Outputs are bitwise identical to [`train_spec`] (equivalence suite in
 /// `tests/minibatch_engine.rs`); only the per-batch overhead changes.
@@ -274,9 +249,7 @@ pub struct MinibatchEngine<'a> {
     labels: &'a [u32],
     mask: &'a [bool],
     part: &'a Partition,
-    config: &'a GcnConfig,
-    session: CommSession,
-    slots: Vec<Mutex<RankSlot>>,
+    driver: Driver<'a>,
     builder: PlanBuilder,
     scratch: SubgraphScratch,
     preps: (BatchPrep, BatchPrep),
@@ -306,26 +279,14 @@ impl<'a> MinibatchEngine<'a> {
         assert_eq!(part.n(), graph.n(), "partition size mismatch");
         let p = part.p();
         let init = config.init_params(param_seed);
-        let slots = (0..p)
-            .map(|_| {
-                Mutex::new(RankSlot {
-                    params: init.clone(),
-                    opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
-                    cctx: ComputeCtx::for_ranks_spec(p, spec),
-                    ws: BatchWorkspace::new(),
-                    last_loss: 0.0,
-                })
-            })
-            .collect();
+        let opt_state = OptimizerState::new(config.optimizer, &config.shapes());
         MinibatchEngine {
             graph,
             h0,
             labels,
             mask,
             part,
-            config,
-            session: CommSession::new(p),
-            slots,
+            driver: Driver::new(p, config, spec, init, opt_state),
             builder: PlanBuilder::new(),
             scratch: SubgraphScratch::new(),
             preps: (
@@ -345,24 +306,24 @@ impl<'a> MinibatchEngine<'a> {
         let mut total_volume = 0u64;
         let mut skipped_batches = 0usize;
         let mut skipped_volume = 0u64;
-        let p = self.session.p();
-        // Split the engine into disjoint borrows: the step closure reads
-        // `slots` + the active prep while `prepare_batch` refills the
-        // builder scratch and the build prep.
+        // Split the engine into disjoint borrows: the driver step reads the
+        // active prep while `prepare_batch` refills the builder scratch and
+        // the build prep.
         let MinibatchEngine {
             graph,
             h0,
             labels,
             mask,
             part,
-            config,
-            session,
-            slots,
+            driver,
             builder,
             scratch,
             preps,
             cur,
         } = self;
+        let mut prepare = |batch: &[u32], prep: &mut BatchPrep| {
+            prepare_batch(graph, h0, labels, mask, part, builder, scratch, batch, prep)
+        };
 
         if let Some(first) = batches.first() {
             let build = if *cur == 0 {
@@ -370,9 +331,7 @@ impl<'a> MinibatchEngine<'a> {
             } else {
                 &mut preps.1
             };
-            prepare_batch(
-                graph, h0, labels, mask, part, builder, scratch, first, build,
-            );
+            prepare(first, build);
         }
         for t in 0..batches.len() {
             let (active, build) = if *cur == 0 {
@@ -380,69 +339,19 @@ impl<'a> MinibatchEngine<'a> {
             } else {
                 (&preps.1, &mut preps.0)
             };
-            if active.trainable {
-                let step = |ctx: &mut RankCtx| {
-                    let m = ctx.rank();
-                    let mut guard = slots[m].lock().expect("rank slot poisoned");
-                    let slot = &mut *guard;
-                    let rp_f = &active.plan_f.ranks[m];
-                    let rp_b = active.backward_rank(m);
-                    // Idempotent: tops pools/queues up to *this* batch's
-                    // analytic worst case; a no-op once the stream's
-                    // high-water batch has been seen, so steady state
-                    // stays allocation-free by construction rather than
-                    // by timing-dependent grow-on-miss.
-                    prewarm_comm_pools(ctx, rp_f, rp_b, config);
-                    let ws = slot.ws.begin_batch(rp_f, config, p, &slot.cctx);
-                    let local = &active.locals[m];
-                    let mut st = RankState {
-                        plan_f: rp_f,
-                        plan_b: rp_b,
-                        config,
-                        params: std::mem::replace(
-                            &mut slot.params,
-                            Params {
-                                weights: Vec::new(),
-                            },
-                        ),
-                        h0: &local.h,
-                        labels: &local.labels,
-                        mask: &local.mask,
-                        mask_total: active.mask_total,
-                        opt_state: std::mem::replace(
-                            &mut slot.opt_state,
-                            OptimizerState::new(Optimizer::Sgd, &[]),
-                        ),
-                        ctx: slot.cctx.clone(),
-                    };
-                    let comm_before = ctx.counters().comm_seconds;
-                    let start = Instant::now();
-                    let loss = epoch_step(ctx, &mut st, ws);
-                    let wall = start.elapsed().as_secs_f64();
-                    // Keep `comm + compute == wall` per rank across the
-                    // session, like the per-run accounting in the trainer.
-                    ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
-                    ctx.add_compute_flops(st.ctx.take_flops());
-                    slot.params = st.params;
-                    slot.opt_state = st.opt_state;
-                    slot.last_loss = loss;
-                };
-                // Safety: `step` outlives the submit/collect pair below —
-                // `collect_step` runs before it goes out of scope.
-                unsafe { session.submit_step(&step) };
-                // Ranks are now training batch t; overlap batch t+1's prep.
+            let mut prepare_next = || {
                 if let Some(next) = batches.get(t + 1) {
-                    prepare_batch(graph, h0, labels, mask, part, builder, scratch, next, build);
+                    prepare(next, build);
                 }
-                session.collect_step();
+            };
+            if active.trainable {
+                // Ranks train batch t while the main thread prepares t+1.
+                losses.push(driver.step(&active.input(), prepare_next));
                 total_volume += active.volume;
-                losses.push(slots[0].lock().expect("rank slot poisoned").last_loss);
             } else {
                 skipped_batches += 1;
                 skipped_volume += active.volume;
-                if let Some(next) = batches.get(t + 1) {
-                    prepare_batch(graph, h0, labels, mask, part, builder, scratch, next, build);
-                }
+                prepare_next();
             }
             *cur ^= 1;
         }
@@ -457,23 +366,19 @@ impl<'a> MinibatchEngine<'a> {
 
     /// The current (replicated) parameters.
     pub fn params(&self) -> Params {
-        self.slots[0]
-            .lock()
-            .expect("rank slot poisoned")
-            .params
-            .clone()
+        self.driver.params()
     }
 
     /// Per-rank communication counters, accumulated since the engine was
     /// created (or last [`MinibatchEngine::reset_counters`]).
     pub fn counters(&mut self) -> Vec<CommCounters> {
-        self.session.run_step(|ctx| ctx.counters().clone())
+        self.driver.counters()
     }
 
     /// Zeroes every rank's counters (e.g. after warm-up batches, so a
     /// measurement window sees steady state only).
     pub fn reset_counters(&mut self) {
-        self.session.run_step(|ctx| ctx.reset_counters());
+        self.driver.reset_counters();
     }
 }
 

@@ -79,7 +79,7 @@ impl GcnConfig {
 }
 
 /// The trainable parameter matrices `W¹…W^L`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Params {
     pub weights: Vec<Dense>,
 }

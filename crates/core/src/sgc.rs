@@ -122,9 +122,9 @@ pub fn train_distributed(
         // exchange scratch, with the payload pools pre-warmed, so no sweep
         // after the first allocates on the comm path.
         for ss in &rp.send {
-            ctx.prewarm(ss.peer, 2, ss.local_indices.len() * d);
+            ctx.ensure_pool(ss.peer, 2, ss.local_indices.len() * d);
         }
-        ctx.prewarm_collectives(2, d * classes);
+        ctx.ensure_collectives(2, d * classes);
         let mut scratch = ExchangeScratch::new(part.p());
         let mut hp = h_local.clone();
         let mut hp_next = Dense::zeros(h_local.rows(), d);

@@ -11,7 +11,7 @@ use pargcn_core::dist;
 use pargcn_core::model::GcnConfig;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_graph::gen::sbm::{self, SbmParams};
-use pargcn_matrix::{ComputeCtx, Dense};
+use pargcn_matrix::{ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::random;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -43,8 +43,11 @@ fn dist_trainer_epochs_bitwise_equal_across_thread_counts() {
     type RunBits = (Vec<u64>, Vec<u32>, Vec<Vec<u32>>);
     let mut reference: Option<RunBits> = None;
     for t in THREAD_COUNTS {
-        let out =
-            dist::train_full_batch_threads(&g, &h0, &labels, &mask, &part, &config, 3, 99, Some(t));
+        let spec = ComputeSpec {
+            threads: Some(t),
+            kernel: None,
+        };
+        let out = dist::train_full_batch_spec(&g, &h0, &labels, &mask, &part, &config, 3, 99, spec);
         let losses: Vec<u64> = out.losses.iter().map(|l| l.to_bits()).collect();
         let preds = dense_bits(&out.predictions);
         let weights: Vec<Vec<u32>> = out.params.weights.iter().map(dense_bits).collect();
@@ -90,7 +93,7 @@ fn cagnet_trainer_bitwise_equal_across_thread_counts() {
 
     let mut reference: Option<(Vec<u64>, Vec<u32>)> = None;
     for t in THREAD_COUNTS {
-        let out = pargcn_core::baselines::cagnet::train_full_batch_threads(
+        let out = pargcn_core::baselines::cagnet::train_full_batch_spec(
             &g,
             &h0,
             &labels,
@@ -99,7 +102,10 @@ fn cagnet_trainer_bitwise_equal_across_thread_counts() {
             &config,
             2,
             13,
-            Some(t),
+            ComputeSpec {
+                threads: Some(t),
+                kernel: None,
+            },
         );
         let losses: Vec<u64> = out.losses.iter().map(|l| l.to_bits()).collect();
         let preds = dense_bits(&out.predictions);

@@ -6,7 +6,7 @@
 //! which computes the identical math with a different comm pattern.
 
 use pargcn_core::baselines::cagnet;
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::{train_full_batch, DistOutcome};
 use pargcn_core::model::{GcnConfig, LayerOrder};
 use pargcn_core::serial::SerialTrainer;
 use pargcn_graph::gen::{community, er, grid, sbm};
@@ -19,8 +19,24 @@ use pargcn_util::rng::StdRng;
 
 const TOL: f32 = 2e-3;
 
-/// Runs both trainers and asserts agreement.
+/// A full-batch trainer entry point (P2P or CAGNET).
+type Trainer =
+    fn(&Graph, &Dense, &[u32], &[bool], &Partition, &GcnConfig, usize, u64) -> DistOutcome;
+
+/// Runs the P2P and serial trainers and asserts agreement.
 fn assert_equivalent(
+    graph: &Graph,
+    config: &GcnConfig,
+    part: &Partition,
+    epochs: usize,
+    data_seed: u64,
+) {
+    assert_trainer_equivalent(train_full_batch, graph, config, part, epochs, data_seed);
+}
+
+/// Runs `train` and the serial trainer and asserts agreement.
+fn assert_trainer_equivalent(
+    train: Trainer,
     graph: &Graph,
     config: &GcnConfig,
     part: &Partition,
@@ -41,7 +57,7 @@ fn assert_equivalent(
     }
     let serial_pred = serial.predict(&h0);
 
-    let out = train_full_batch(graph, &h0, &labels, &mask, part, config, epochs, 42);
+    let out = train(graph, &h0, &labels, &mask, part, config, epochs, 42);
 
     for (e, (s, d)) in serial_losses.iter().zip(&out.losses).enumerate() {
         assert!(
@@ -180,7 +196,6 @@ fn cagnet_matches_serial_and_p2p() {
 #[test]
 fn cagnet_directed_matches_serial() {
     let g = er::generate(90, 400, true, 9);
-    let config = GcnConfig::two_layer(4, 5, 2);
     let part = pargcn_partition::random::partition(g.n(), 3, 6);
 
     let mut rng = StdRng::seed_from_u64(31);
@@ -188,12 +203,19 @@ fn cagnet_directed_matches_serial() {
     let labels: Vec<u32> = (0..g.n()).map(|i| (i % 2) as u32).collect();
     let mask = vec![true; g.n()];
 
-    let bc = cagnet::train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 42);
-    let mut serial = SerialTrainer::new(&g, config.clone(), 42);
-    for _ in 0..3 {
-        serial.train_epoch(&h0, &labels, &mask);
+    for order in [LayerOrder::SpmmFirst, LayerOrder::DmmFirst] {
+        let mut config = GcnConfig::two_layer(4, 5, 2);
+        config.order = order;
+        let bc = cagnet::train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 42);
+        let mut serial = SerialTrainer::new(&g, config.clone(), 42);
+        for _ in 0..3 {
+            serial.train_epoch(&h0, &labels, &mask);
+        }
+        assert!(
+            bc.predictions.approx_eq(&serial.predict(&h0), TOL),
+            "{order:?}"
+        );
     }
-    assert!(bc.predictions.approx_eq(&serial.predict(&h0), TOL));
 }
 
 #[test]
@@ -283,14 +305,18 @@ fn accuracy_unaffected_by_parallelism_fig4c() {
 fn adam_optimizer_matches_serial() {
     // The optimizer state is replicated like the parameters; Adam's
     // nonlinear update must stay in lock-step across ranks and match the
-    // serial trainer exactly.
+    // serial trainer exactly — for CAGNET too, which differs from P2P
+    // only in its exchange.
     let g = community::copurchase(160, 6.0, false, 12);
     let a = g.normalized_adjacency();
     let mut config = GcnConfig::two_layer(6, 8, 3);
     config.learning_rate = 0.01;
     config.optimizer = pargcn_core::optim::Optimizer::adam();
     let part = partition_rows(&g, &a, Method::Hp, 4, 0.1, 6);
-    assert_equivalent(&g, &config, &part, 5, 31);
+    let trainers: [Trainer; 2] = [train_full_batch, cagnet::train_full_batch];
+    for train in trainers {
+        assert_trainer_equivalent(train, &g, &config, &part, 5, 31);
+    }
 }
 
 #[test]

@@ -11,6 +11,7 @@
 //! tests are unaffected.
 
 use pargcn_core::minibatch::{self, MinibatchEngine, MinibatchOutcome};
+use pargcn_core::optim::Optimizer;
 use pargcn_core::plan::PlanBuilder;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_core::{CommPlan, GcnConfig};
@@ -77,11 +78,12 @@ fn predictions_from(
         .predict(h0)
 }
 
-fn equivalence_at(p: usize, kernel: KernelKind) {
+fn equivalence_at(p: usize, kernel: KernelKind, optimizer: Optimizer) {
     let (graph, h0, labels, mask) = setup(240, 3);
     let a = graph.normalized_adjacency();
     let part = partition_rows(&graph, &a, Method::Hp, p, 0.1, 1);
-    let config = GcnConfig::two_layer(8, 12, 4);
+    let mut config = GcnConfig::two_layer(8, 12, 4);
+    config.optimizer = optimizer;
     let batches = batches_with_unlabelled(&graph, &mask, 12);
     let spec = ComputeSpec {
         threads: Some(2),
@@ -91,9 +93,8 @@ fn equivalence_at(p: usize, kernel: KernelKind) {
     let old = minibatch::train_spec(
         &graph, &h0, &labels, &mask, &part, &config, &batches, 5, spec,
     );
-    let new = minibatch::train_spec_persistent(
-        &graph, &h0, &labels, &mask, &part, &config, &batches, 5, spec,
-    );
+    let new =
+        MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 5, spec).train(&batches);
 
     assert!(!old.losses.is_empty(), "no batch trained — vacuous test");
     assert_eq!(old.skipped_batches, 1, "the unlabelled batch must skip");
@@ -107,14 +108,18 @@ fn equivalence_at(p: usize, kernel: KernelKind) {
 
 #[test]
 fn engine_matches_per_batch_path_p2() {
-    equivalence_at(2, KernelKind::Naive);
-    equivalence_at(2, KernelKind::Blocked);
+    for optimizer in [Optimizer::Sgd, Optimizer::adam()] {
+        equivalence_at(2, KernelKind::Naive, optimizer);
+        equivalence_at(2, KernelKind::Blocked, optimizer);
+    }
 }
 
 #[test]
 fn engine_matches_per_batch_path_p4() {
-    equivalence_at(4, KernelKind::Naive);
-    equivalence_at(4, KernelKind::Blocked);
+    for optimizer in [Optimizer::Sgd, Optimizer::adam()] {
+        equivalence_at(4, KernelKind::Naive, optimizer);
+        equivalence_at(4, KernelKind::Blocked, optimizer);
+    }
 }
 
 /// Splitting a batch stream across several `train` calls must behave like
@@ -131,9 +136,8 @@ fn engine_streams_across_train_calls() {
         kernel: None,
     };
 
-    let whole = minibatch::train_spec_persistent(
-        &graph, &h0, &labels, &mask, &part, &config, &batches, 7, spec,
-    );
+    let whole =
+        MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec).train(&batches);
 
     let mut engine = MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec);
     let first = engine.train(&batches[..3]);

@@ -85,8 +85,7 @@ pub struct ComputeSpec {
 }
 
 impl ComputeSpec {
-    /// Spec with only a thread count (kernel from env) — what the legacy
-    /// `_threads` entry points build.
+    /// Spec with only a thread count (kernel from env).
     pub fn threads(threads: Option<usize>) -> Self {
         ComputeSpec {
             threads,

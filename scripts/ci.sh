@@ -39,6 +39,10 @@ done
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
 run cargo bench -q --offline --locked -p pargcn-bench --bench kernels -- --quick kernel_engine
 run cargo bench -q --offline --locked -p pargcn-bench --bench minibatch -- --quick
+# Build the benchmark (a workspace of its own over the crates' public
+# API) and run its exact-count self-test, so an API change that breaks
+# it fails here rather than in the next performance measurement.
+run cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
