@@ -1,8 +1,10 @@
 //! Criterion microbenchmarks for the matrix kernels driving GCN training:
 //! SpMM (the convolution), DMM (parameter application), the `Xₘₙ ⊗ H` row
-//! gather (message assembly), adjacency normalization, and the pooled
-//! (multithreaded) kernel variants at 1/2/4 threads plus the bare pool
-//! dispatch overhead.
+//! gather (message assembly), adjacency normalization, and the kernels
+//! split across 1/2/4 threads plus the bare pool dispatch overhead. The
+//! `spmm`/`dmm` groups and their `_threads` variants run the naive engine
+//! through [`ComputeCtx`], so their figures stay comparable with earlier
+//! runs in `results/kernels_threads.json`.
 
 use pargcn_graph::gen::{grid, rmat};
 use pargcn_matrix::{gather, norm, ComputeCtx, Dense, KernelKind};
@@ -11,13 +13,19 @@ use pargcn_util::pool::Pool;
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
 
-/// Thread counts exercised by the `_pool` kernel benchmarks. The `t = 1`
-/// rows measure the pooled entry points' serial fallback, so the gap to
-/// the plain kernels is the dispatch overhead, not the algorithm.
+/// Thread counts exercised by the `_threads` kernel benchmarks. At `t = 1`
+/// the context runs the row-range body inline with no pool dispatch, so
+/// the `t > 1` rows read off the split's speedup net of dispatch cost.
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// The naive engine on `threads` threads.
+fn naive(threads: usize) -> ComputeCtx {
+    ComputeCtx::with_threads(threads).with_kernel(KernelKind::Naive)
+}
 
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
+    let cctx = naive(1);
     for (name, graph) in [
         ("road_10k", grid::road_network(10_000, 1)),
         ("rmat_10k", rmat::generate_sized(10_000, 8.0, false, 1)),
@@ -28,7 +36,7 @@ fn bench_spmm(c: &mut Criterion) {
             let h = Dense::random(a.n_cols(), d, &mut rng);
             group.throughput(Throughput::Elements((a.nnz() * d) as u64));
             group.bench_with_input(BenchmarkId::new(name, d), &d, |b, _| {
-                b.iter(|| a.spmm(std::hint::black_box(&h)))
+                b.iter(|| cctx.spmm(&a, std::hint::black_box(&h)))
             });
         }
     }
@@ -37,13 +45,14 @@ fn bench_spmm(c: &mut Criterion) {
 
 fn bench_dmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("dmm");
+    let cctx = naive(1);
     let mut rng = StdRng::seed_from_u64(3);
     for (rows, k, n) in [(10_000usize, 32usize, 32usize), (10_000, 64, 16)] {
         let a = Dense::random(rows, k, &mut rng);
         let w = Dense::random(k, n, &mut rng);
         group.throughput(Throughput::Elements((rows * k * n) as u64));
         group.bench_function(format!("{rows}x{k}x{n}"), |b| {
-            b.iter(|| a.matmul(std::hint::black_box(&w)))
+            b.iter(|| cctx.matmul(&a, std::hint::black_box(&w)))
         });
     }
     group.finish();
@@ -83,9 +92,9 @@ fn bench_spmm_threads(c: &mut Criterion) {
     let h = Dense::random(a.n_cols(), d, &mut rng);
     group.throughput(Throughput::Elements((a.nnz() * d) as u64));
     for t in THREADS {
-        let pool = Pool::new(t);
+        let cctx = naive(t);
         group.bench_with_input(BenchmarkId::new("rmat_10k_d64", t), &t, |b, _| {
-            b.iter(|| a.spmm_pool(std::hint::black_box(&h), &pool))
+            b.iter(|| cctx.spmm(&a, std::hint::black_box(&h)))
         });
     }
     group.finish();
@@ -102,15 +111,15 @@ fn bench_dmm_threads(c: &mut Criterion) {
     let g = Dense::random(rows, n, &mut rng);
     group.throughput(Throughput::Elements((rows * k * n) as u64));
     for t in THREADS {
-        let pool = Pool::new(t);
+        let cctx = naive(t);
         group.bench_with_input(BenchmarkId::new("matmul_10000x64x16", t), &t, |b, _| {
-            b.iter(|| a.matmul_pool(std::hint::black_box(&w), &pool))
+            b.iter(|| cctx.matmul(&a, std::hint::black_box(&w)))
         });
         group.bench_with_input(BenchmarkId::new("matmul_at_10000x64x16", t), &t, |b, _| {
-            b.iter(|| a.matmul_at_pool(std::hint::black_box(&g), &pool))
+            b.iter(|| cctx.matmul_at(&a, std::hint::black_box(&g)))
         });
         group.bench_with_input(BenchmarkId::new("matmul_bt_10000x16x64", t), &t, |b, _| {
-            b.iter(|| g.matmul_bt_pool(std::hint::black_box(&w), &pool))
+            b.iter(|| cctx.matmul_bt(&g, std::hint::black_box(&w)))
         });
     }
     group.finish();
@@ -118,7 +127,7 @@ fn bench_dmm_threads(c: &mut Criterion) {
 
 /// Bare pool dispatch cost: post-to-workers + latch wait with an empty
 /// body, versus the same trip count inline. This is the fixed price every
-/// pooled kernel pays, and what `MIN_PARALLEL_WORK` amortizes away.
+/// split kernel pays, and what `MIN_PARALLEL_WORK` amortizes away.
 fn bench_pool_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_overhead");
     for t in THREADS {

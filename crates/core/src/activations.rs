@@ -1,7 +1,6 @@
 //! Activation functions `σ` and their derivatives `σ'` (paper Eq. 1–3).
 
-use pargcn_matrix::Dense;
-use pargcn_util::pool::Pool;
+use pargcn_matrix::{ComputeCtx, Dense};
 
 /// Element-wise activation applied to `Zᵏ` to form `Hᵏ`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -13,55 +12,19 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// `H = σ(Z)`.
-    pub fn apply(&self, z: &Dense) -> Dense {
+    /// `out = σ(z)` into a caller-provided buffer of `z`'s shape.
+    pub fn apply_into(&self, cctx: &ComputeCtx, z: &Dense, out: &mut Dense) {
         match self {
-            Activation::Relu => z.map(|v| v.max(0.0)),
-            Activation::Identity => z.clone(),
-        }
-    }
-
-    /// `σ'(Z)`, element-wise.
-    pub fn derivative(&self, z: &Dense) -> Dense {
-        match self {
-            Activation::Relu => z.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Identity => z.map(|_| 1.0),
-        }
-    }
-
-    /// Pooled [`Activation::apply`]; element-wise, so bitwise identical to
-    /// serial at any thread count.
-    pub fn apply_pool(&self, z: &Dense, pool: &Pool) -> Dense {
-        match self {
-            Activation::Relu => z.map_pool(pool, |v| v.max(0.0)),
-            Activation::Identity => z.clone(),
-        }
-    }
-
-    /// [`Activation::apply`] into a caller-provided `out` (same shape,
-    /// never reallocates) — the form the persistent forward workspace
-    /// uses; pooled, bitwise identical to serial.
-    pub fn apply_into_pool(&self, z: &Dense, out: &mut Dense, pool: &Pool) {
-        match self {
-            Activation::Relu => z.map_into_pool(out, pool, |v| v.max(0.0)),
+            Activation::Relu => cctx.map_into(z, out, |v| v.max(0.0)),
             Activation::Identity => out.copy_from(z),
         }
     }
 
-    /// [`Activation::derivative`] into a caller-provided `out`; pooled,
-    /// bitwise identical to serial.
-    pub fn derivative_into_pool(&self, z: &Dense, out: &mut Dense, pool: &Pool) {
+    /// `out = σ'(z)`, element-wise, into a caller-provided buffer.
+    pub fn derivative_into(&self, cctx: &ComputeCtx, z: &Dense, out: &mut Dense) {
         match self {
-            Activation::Relu => z.map_into_pool(out, pool, |v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Identity => z.map_into_pool(out, pool, |_| 1.0),
-        }
-    }
-
-    /// Pooled [`Activation::derivative`]; bitwise identical to serial.
-    pub fn derivative_pool(&self, z: &Dense, pool: &Pool) -> Dense {
-        match self {
-            Activation::Relu => z.map_pool(pool, |v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Identity => z.map_pool(pool, |_| 1.0),
+            Activation::Relu => cctx.map_into(z, out, |v| if v > 0.0 { 1.0 } else { 0.0 }),
+            Activation::Identity => cctx.map_into(z, out, |_| 1.0),
         }
     }
 }
@@ -70,12 +33,24 @@ impl Activation {
 mod tests {
     use super::*;
 
+    fn apply(act: Activation, z: &Dense) -> Dense {
+        let mut out = Dense::zeros(z.rows(), z.cols());
+        act.apply_into(&ComputeCtx::serial(), z, &mut out);
+        out
+    }
+
+    fn derivative(act: Activation, z: &Dense) -> Dense {
+        let mut out = Dense::zeros(z.rows(), z.cols());
+        act.derivative_into(&ComputeCtx::serial(), z, &mut out);
+        out
+    }
+
     #[test]
     fn relu_clamps_negatives() {
         let z = Dense::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        assert_eq!(Activation::Relu.apply(&z).data(), &[0.0, 0.0, 0.5, 2.0]);
+        assert_eq!(apply(Activation::Relu, &z).data(), &[0.0, 0.0, 0.5, 2.0]);
         assert_eq!(
-            Activation::Relu.derivative(&z).data(),
+            derivative(Activation::Relu, &z).data(),
             &[0.0, 0.0, 1.0, 1.0]
         );
     }
@@ -83,22 +58,25 @@ mod tests {
     #[test]
     fn identity_is_noop_with_unit_derivative() {
         let z = Dense::from_vec(1, 3, vec![-1.0, 0.0, 3.0]);
-        assert_eq!(Activation::Identity.apply(&z).data(), z.data());
-        assert_eq!(Activation::Identity.derivative(&z).data(), &[1.0, 1.0, 1.0]);
+        assert_eq!(apply(Activation::Identity, &z).data(), z.data());
+        assert_eq!(
+            derivative(Activation::Identity, &z).data(),
+            &[1.0, 1.0, 1.0]
+        );
     }
 
     #[test]
     fn relu_derivative_consistent_with_finite_difference() {
         let z = Dense::from_vec(1, 2, vec![0.7, -0.3]);
         let eps = 1e-3f32;
-        let d = Activation::Relu.derivative(&z);
+        let d = derivative(Activation::Relu, &z);
         for j in 0..2 {
             let mut zp = z.clone();
             zp.set(0, j, z.get(0, j) + eps);
             let mut zm = z.clone();
             zm.set(0, j, z.get(0, j) - eps);
-            let fd = (Activation::Relu.apply(&zp).get(0, j)
-                - Activation::Relu.apply(&zm).get(0, j))
+            let fd = (apply(Activation::Relu, &zp).get(0, j)
+                - apply(Activation::Relu, &zm).get(0, j))
                 / (2.0 * eps);
             assert!((fd - d.get(0, j)).abs() < 1e-3);
         }

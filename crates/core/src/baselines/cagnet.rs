@@ -248,7 +248,7 @@ mod tests {
         let plan = CagnetPlan::build(&a, &part);
         let mut rng = StdRng::seed_from_u64(5);
         let h = Dense::random(18, 4, &mut rng);
-        let full = a.spmm(&h);
+        let full = ComputeCtx::serial().spmm(&a, &h);
         let locals: Vec<Dense> = plan
             .ranks
             .iter()

@@ -29,17 +29,16 @@ pub fn run<P: SpmmExchange>(
     st: &mut RankState<'_, P>,
     ws: &mut EpochWorkspace,
 ) {
-    // Cheap Arc clone so the pool stays usable across `&mut st` updates.
+    // Cheap Arc clone so the context stays usable across `&mut st` updates.
     let cctx = st.ctx.clone();
-    let pool = cctx.pool();
     let layers = st.config.layers();
 
     // Line 2: G^L = ∇_{H^L} J ⊙ σ'(Z^L), built in place: σ' lands in the
     // persistent G^L buffer, then the loss gradient multiplies on.
-    st.config.activation(layers).derivative_into_pool(
+    st.config.activation(layers).derivative_into(
+        &cctx,
         &ws.fwd.z[layers - 1],
         &mut ws.g[layers - 1],
-        pool,
     );
     ws.g[layers - 1].hadamard_assign(&ws.grad);
 
@@ -93,7 +92,7 @@ pub fn run<P: SpmmExchange>(
             let deriv_scratch = &mut ws.ax_b[k - 2];
             st.config
                 .activation(k - 1)
-                .derivative_into_pool(&ws.fwd.z[k - 2], deriv_scratch, pool);
+                .derivative_into(&cctx, &ws.fwd.z[k - 2], deriv_scratch);
             ws.g[k - 2].hadamard_assign(deriv_scratch);
         }
     }

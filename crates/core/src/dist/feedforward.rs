@@ -31,7 +31,6 @@ use pargcn_matrix::{gather, ComputeCtx, Dense};
 /// SpMM's remote rows arrive through `P`'s exchange.
 pub fn run<P: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, P>, ws: &mut EpochWorkspace) {
     let cctx = &st.ctx;
-    let pool = cctx.pool();
     let layers = st.config.layers();
     for k in 1..=layers {
         let w = &st.params.weights[k - 1];
@@ -63,7 +62,7 @@ pub fn run<P: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, P>, ws: &mut E
         }
         st.config
             .activation(k)
-            .apply_into_pool(&fwd.z[k - 1], &mut fwd.h[k - 1], pool);
+            .apply_into(cctx, &fwd.z[k - 1], &mut fwd.h[k - 1]);
     }
 }
 

@@ -150,7 +150,10 @@ pub fn epoch_step<P: SpmmExchange>(
     ws: &mut EpochWorkspace,
 ) -> f64 {
     feedforward::run(ctx, st, ws);
-    let loss_local = local_loss_and_grad(
+    // The rank's share of the masked cross-entropy (over the global mask
+    // count), into the workspace's persistent softmax and gradient
+    // buffers, so the loss path stays allocation-free (§9).
+    let loss_local = loss::masked_cross_entropy_into(
         ws.fwd.output(),
         st.labels,
         st.mask,
@@ -163,37 +166,4 @@ pub fn epoch_step<P: SpmmExchange>(
     ctx.allreduce_sum(&mut buf);
     backprop::run(ctx, st, ws);
     buf[0] as f64
-}
-
-/// Local masked cross-entropy: the *sum* of masked row losses divided by
-/// the global mask count, and (into `grad`, overwritten) the loss
-/// gradient for the local rows. Allreducing the per-rank values yields
-/// the identical global loss the serial trainer computes. `probs` is the
-/// workspace's persistent softmax buffer, so the loss path stays
-/// allocation-free (§9).
-fn local_loss_and_grad(
-    hl: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    mask_total: f64,
-    probs: &mut Dense,
-    grad: &mut Dense,
-) -> f64 {
-    loss::softmax_rows_into(hl, probs);
-    grad.fill_zero();
-    let mut total = 0.0f64;
-    for i in 0..hl.rows() {
-        if !mask[i] {
-            continue;
-        }
-        let y = labels[i] as usize;
-        let pv = probs.get(i, y).max(1e-12);
-        total -= (pv as f64).ln();
-        let g = grad.row_mut(i);
-        for (j, gv) in g.iter_mut().enumerate() {
-            let indicator = if j == y { 1.0 } else { 0.0 };
-            *gv = (probs.get(i, j) - indicator) / mask_total as f32;
-        }
-    }
-    total / mask_total
 }

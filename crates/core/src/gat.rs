@@ -23,7 +23,7 @@
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, Communicator, RankCtx};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, Csr, Dense};
+use pargcn_matrix::{gather, ComputeCtx, Csr, Dense};
 use pargcn_partition::Partition;
 use pargcn_util::rng::StdRng;
 use pargcn_util::rng::{Rng, SeedableRng};
@@ -76,7 +76,7 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// attention replaces the fixed normalization). `pattern` must contain the
 /// self loops (use the normalized adjacency's pattern).
 pub fn forward_serial(layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
-    let p = h.matmul(&layer.w);
+    let p = ComputeCtx::serial().matmul(h, &layer.w);
     let d = p.cols();
     let n = pattern.n_rows();
     let s_src: Vec<f32> = (0..n).map(|i| dot(&layer.a_src, p.row(i))).collect();
@@ -117,7 +117,7 @@ pub fn forward_rank(
     h_local: &Dense,
     tag: u32,
 ) -> Dense {
-    let p_local = h_local.matmul(&layer.w);
+    let p_local = ComputeCtx::serial().matmul(h_local, &layer.w);
     let d = p_local.cols();
 
     // Send the needed transformed rows — same selectors, same peers.

@@ -8,16 +8,10 @@
 
 use pargcn_matrix::Dense;
 
-/// Row-wise softmax with the max-subtraction trick for stability.
-pub fn softmax_rows(h: &Dense) -> Dense {
-    let mut out = Dense::zeros(h.rows(), h.cols());
-    softmax_rows_into(h, &mut out);
-    out
-}
-
-/// [`softmax_rows`] into a caller-owned buffer — the training loop keeps a
-/// persistent `probs` matrix in its workspace so the per-epoch loss path
-/// allocates nothing (the §9 no-alloc contract, extended in DESIGN.md §11).
+/// Row-wise softmax with the max-subtraction trick for stability, into
+/// a caller-owned buffer — the training loop keeps a persistent `probs`
+/// matrix in its workspace so the per-epoch loss path allocates nothing
+/// (the §9 no-alloc contract, extended in DESIGN.md §11).
 ///
 /// `out` is row-resized in place (grow-once) and must have `h`'s width.
 pub fn softmax_rows_into(h: &Dense, out: &mut Dense) {
@@ -40,32 +34,55 @@ pub fn softmax_rows_into(h: &Dense, out: &mut Dense) {
     }
 }
 
+/// Masked softmax cross-entropy over caller-owned buffers: `probs`
+/// receives `softmax(H)` (see [`softmax_rows_into`]) and `grad`
+/// (overwritten) receives `(softmax(H(i,:)) − onehot(yᵢ))/mask_total` on
+/// masked rows, zero elsewhere. Returns the *sum* of masked row losses
+/// `−log softmax(H(i,:))[yᵢ]` divided by `mask_total`.
+///
+/// `mask_total` is the mask count over the whole graph, so on a rank's
+/// row block this is the rank's share: allreducing the per-rank values
+/// yields the identical global loss a single process computes.
+pub fn masked_cross_entropy_into(
+    h: &Dense,
+    labels: &[u32],
+    mask: &[bool],
+    mask_total: f64,
+    probs: &mut Dense,
+    grad: &mut Dense,
+) -> f64 {
+    assert_eq!(h.rows(), labels.len(), "label length mismatch");
+    assert_eq!(h.rows(), mask.len(), "mask length mismatch");
+    softmax_rows_into(h, probs);
+    grad.fill_zero();
+    let mut total = 0.0f64;
+    for i in 0..h.rows() {
+        if !mask[i] {
+            continue;
+        }
+        let y = labels[i] as usize;
+        let pv = probs.get(i, y).max(1e-12);
+        total -= (pv as f64).ln();
+        let g = grad.row_mut(i);
+        for (j, gv) in g.iter_mut().enumerate() {
+            let indicator = if j == y { 1.0 } else { 0.0 };
+            *gv = (probs.get(i, j) - indicator) / mask_total as f32;
+        }
+    }
+    total / mask_total
+}
+
 /// Masked softmax cross-entropy.
 ///
 /// Returns `(J, ∇_{H} J)` where
 /// `J = (1/|mask|) Σ_{i∈mask} −log softmax(H(i,:))[yᵢ]` and the gradient is
 /// `(softmax(H(i,:)) − onehot(yᵢ))/|mask|` on masked rows, zero elsewhere.
 pub fn softmax_cross_entropy(h: &Dense, labels: &[u32], mask: &[bool]) -> (f64, Dense) {
-    assert_eq!(h.rows(), labels.len(), "label length mismatch");
-    assert_eq!(h.rows(), mask.len(), "mask length mismatch");
     let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let probs = softmax_rows(h);
+    let mut probs = Dense::zeros(h.rows(), h.cols());
     let mut grad = Dense::zeros(h.rows(), h.cols());
-    let mut loss = 0.0f64;
-    for i in 0..h.rows() {
-        if !mask[i] {
-            continue;
-        }
-        let y = labels[i] as usize;
-        let p = probs.get(i, y).max(1e-12);
-        loss -= (p as f64).ln();
-        let g = grad.row_mut(i);
-        for (j, gv) in g.iter_mut().enumerate() {
-            let indicator = if j == y { 1.0 } else { 0.0 };
-            *gv = (probs.get(i, j) - indicator) / count as f32;
-        }
-    }
-    (loss / count, grad)
+    let loss = masked_cross_entropy_into(h, labels, mask, count, &mut probs, &mut grad);
+    (loss, grad)
 }
 
 /// Masked mean squared error against a dense target: `J = (1/2|mask|)·Σ‖h−t‖²`.
@@ -118,7 +135,8 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let h = Dense::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let s = softmax_rows(&h);
+        let mut s = Dense::zeros(0, 3);
+        softmax_rows_into(&h, &mut s);
         for i in 0..2 {
             let sum: f32 = s.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
@@ -129,7 +147,10 @@ mod tests {
     fn softmax_is_shift_invariant() {
         let a = Dense::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Dense::from_vec(1, 3, vec![101.0, 102.0, 103.0]);
-        assert!(softmax_rows(&a).approx_eq(&softmax_rows(&b), 1e-5));
+        let (mut sa, mut sb) = (Dense::zeros(1, 3), Dense::zeros(1, 3));
+        softmax_rows_into(&a, &mut sa);
+        softmax_rows_into(&b, &mut sb);
+        assert!(sa.approx_eq(&sb, 1e-5));
     }
 
     #[test]

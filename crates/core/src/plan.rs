@@ -337,7 +337,7 @@ impl PlanBuilder {
 mod tests {
     use super::*;
     use pargcn_graph::gen::er;
-    use pargcn_matrix::{gather, Dense};
+    use pargcn_matrix::{gather, ComputeCtx, Dense};
     use pargcn_partition::{metrics, random, Hypergraph};
     use pargcn_util::rng::SeedableRng;
     use pargcn_util::rng::StdRng;
@@ -403,11 +403,12 @@ mod tests {
         let plan = CommPlan::build(&a, &part);
         let mut rng = StdRng::seed_from_u64(5);
         let h = Dense::random(30, 6, &mut rng);
-        let full = a.spmm(&h);
+        let cctx = ComputeCtx::serial();
+        let full = cctx.spmm(&a, &h);
 
         for rp in &plan.ranks {
             let h_local = gather::gather_rows(&h, &rp.local_rows);
-            let mut ah = rp.a_own.spmm(&h_local);
+            let mut ah = cctx.spmm(&rp.a_own, &h_local);
             for block in &rp.a_remote {
                 // Simulate the peer's gather+send.
                 let peer = &plan.ranks[block.peer];
@@ -418,7 +419,7 @@ mod tests {
                     .find(|s| s.peer == rp.rank)
                     .expect("peer must have matching send set");
                 let payload = gather::gather_rows(&peer_local, &ss.local_indices);
-                block.a.spmm_into(&payload, &mut ah, true);
+                cctx.spmm_into(&block.a, &payload, &mut ah, true);
             }
             for (li, &gv) in rp.local_rows.iter().enumerate() {
                 let expect = full.row(gv as usize);

@@ -94,7 +94,6 @@ impl SerialTrainer {
         assert_eq!(h0.rows(), self.a.n_rows(), "feature row count mismatch");
         assert_eq!(h0.cols(), self.config.dims[0], "input width mismatch");
         let cctx = &self.ctx;
-        let pool = cctx.pool();
         let mut z = Vec::with_capacity(self.config.layers());
         let mut h = Vec::with_capacity(self.config.layers() + 1);
         h.push(h0.clone());
@@ -104,60 +103,44 @@ impl SerialTrainer {
                 LayerOrder::SpmmFirst => cctx.matmul(&cctx.spmm(&self.a, &h[k - 1]), w),
                 LayerOrder::DmmFirst => cctx.spmm(&self.a, &cctx.matmul(&h[k - 1], w)),
             };
-            let hk = self.config.activation(k).apply_pool(&zk, pool);
+            let mut hk = Dense::zeros(zk.rows(), zk.cols());
+            self.config.activation(k).apply_into(cctx, &zk, &mut hk);
             z.push(zk);
             h.push(hk);
         }
         ForwardState { z, h }
     }
 
+    /// `g ⊙= σₖ'(z)`, with `σ'` computed into a scratch first.
+    fn mul_derivative(&self, g: &mut Dense, k: usize, z: &Dense) {
+        let mut deriv = Dense::zeros(z.rows(), z.cols());
+        self.config
+            .activation(k)
+            .derivative_into(&self.ctx, z, &mut deriv);
+        g.hadamard_assign(&deriv);
+    }
+
     /// Backpropagation (paper Eqs. 2–5) given the output-layer loss
     /// gradient `∇_{H^L} J`. Returns the parameter gradients `ΔW¹…ΔW^L`.
+    ///
+    /// Both layer orders share it: for `Z = Â(HW)` too, `dJ/d(HW) = ÂᵀG`,
+    /// `ΔW = Hᵀ(ÂᵀG)` and `dJ/dH = (ÂᵀG)Wᵀ` — same shapes, same comm
+    /// pattern.
     pub fn backward(&self, state: &ForwardState, grad_hl: &Dense) -> Vec<Dense> {
         let cctx = &self.ctx;
-        let pool = cctx.pool();
         let layers = self.config.layers();
         let mut delta_w = vec![Dense::zeros(0, 0); layers];
         // G^L = ∇_{H^L} J ⊙ σ'(Z^L)  (Eq. 2)
-        let mut g = grad_hl.hadamard(
-            &self
-                .config
-                .activation(layers)
-                .derivative_pool(&state.z[layers - 1], pool),
-        );
+        let mut g = grad_hl.clone();
+        self.mul_derivative(&mut g, layers, &state.z[layers - 1]);
         for k in (1..=layers).rev() {
-            let w = &self.params.weights[k - 1];
-            match self.config.order {
-                LayerOrder::SpmmFirst => {
-                    // ΔWᵏ = (H^{k-1})ᵀ (Âᵀ Gᵏ)   (Eq. 4; Âᵀ for directed)
-                    let ag = cctx.spmm(&self.a_back, &g);
-                    delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
-                    if k > 1 {
-                        // Sᵏ = (ÂᵀGᵏ)(Wᵏ)ᵀ; G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})  (Eq. 3)
-                        let s = cctx.matmul_bt(&ag, w);
-                        g = s.hadamard(
-                            &self
-                                .config
-                                .activation(k - 1)
-                                .derivative_pool(&state.z[k - 2], pool),
-                        );
-                    }
-                }
-                LayerOrder::DmmFirst => {
-                    // Z = Â(HW): dJ/d(HW) = ÂᵀG, ΔW = Hᵀ(ÂᵀG),
-                    // dJ/dH = (ÂᵀG)Wᵀ — same shapes, same comm pattern.
-                    let ag = cctx.spmm(&self.a_back, &g);
-                    delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
-                    if k > 1 {
-                        let s = cctx.matmul_bt(&ag, w);
-                        g = s.hadamard(
-                            &self
-                                .config
-                                .activation(k - 1)
-                                .derivative_pool(&state.z[k - 2], pool),
-                        );
-                    }
-                }
+            // ΔWᵏ = (H^{k-1})ᵀ (Âᵀ Gᵏ)   (Eq. 4; Âᵀ for directed)
+            let ag = cctx.spmm(&self.a_back, &g);
+            delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
+            if k > 1 {
+                // Sᵏ = (ÂᵀGᵏ)(Wᵏ)ᵀ; G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})  (Eq. 3)
+                g = cctx.matmul_bt(&ag, &self.params.weights[k - 1]);
+                self.mul_derivative(&mut g, k - 1, &state.z[k - 2]);
             }
         }
         delta_w

@@ -16,16 +16,17 @@ use crate::loss;
 use crate::plan::CommPlan;
 use pargcn_comm::{CommCounters, Communicator};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, Csr, Dense};
+use pargcn_matrix::{gather, ComputeCtx, Csr, Dense};
 use pargcn_partition::Partition;
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
 
 /// Serial K-hop propagation: `Â^K · H`.
 pub fn propagate_serial(a: &Csr, h0: &Dense, k: usize) -> Dense {
+    let cctx = ComputeCtx::serial();
     let mut h = h0.clone();
     for _ in 0..k {
-        h = a.spmm(&h);
+        h = cctx.spmm(a, &h);
     }
     h
 }
@@ -46,15 +47,16 @@ pub fn train_serial(
     learning_rate: f32,
     param_seed: u64,
 ) -> (Dense, Vec<f64>) {
+    let cctx = ComputeCtx::serial();
     let hp = propagate_serial(a, h0, k);
     let mut rng = StdRng::seed_from_u64(param_seed);
     let mut w = Dense::glorot(h0.cols(), classes, &mut rng);
     let mut losses = Vec::with_capacity(epochs);
     for _ in 0..epochs {
-        let logits = hp.matmul(&w);
+        let logits = cctx.matmul(&hp, &w);
         let (j, grad) = loss::softmax_cross_entropy(&logits, labels, mask);
         // dJ/dW = (Â^K X)ᵀ · dJ/dlogits.
-        let dw = hp.matmul_at(&grad);
+        let dw = cctx.matmul_at(&hp, &grad);
         w.sub_scaled_assign(&dw, learning_rate);
         losses.push(j);
     }
@@ -115,7 +117,7 @@ pub fn train_distributed(
         let m = ctx.rank();
         let rp = &plan.ranks[m];
         let (h_local, l_local, m_local) = &locals[m];
-        let cctx = pargcn_matrix::ComputeCtx::for_ranks(part.p(), None);
+        let cctx = ComputeCtx::for_ranks(part.p(), None);
 
         // K-hop propagation: the only point-to-point communication. The
         // sweeps ping-pong between two persistent buffers over a single
@@ -144,27 +146,20 @@ pub fn train_distributed(
         // Training epochs: purely local + ΔW allreduce.
         let mut w = w_init.clone();
         let mut losses = Vec::with_capacity(epochs);
+        let mut logits = Dense::zeros(hp.rows(), classes);
+        let mut probs = Dense::zeros(hp.rows(), classes);
+        let mut grad = Dense::zeros(hp.rows(), classes);
+        let mut dw = Dense::zeros(d, classes);
         for _ in 0..epochs {
-            let logits = cctx.matmul(&hp, &w);
-            let probs = loss::softmax_rows(&logits);
-            let mut loss_local = 0.0f64;
-            let mut grad = Dense::zeros(logits.rows(), logits.cols());
-            for i in 0..logits.rows() {
-                if !m_local[i] {
-                    continue;
-                }
-                let y = l_local[i] as usize;
-                loss_local -= (probs.get(i, y).max(1e-12) as f64).ln();
-                for j in 0..classes {
-                    let ind = if j == y { 1.0 } else { 0.0 };
-                    grad.set(i, j, (probs.get(i, j) - ind) / mask_total as f32);
-                }
-            }
-            let mut lbuf = [(loss_local / mask_total) as f32];
+            cctx.matmul_into(&hp, &w, &mut logits, false);
+            let loss_local = loss::masked_cross_entropy_into(
+                &logits, l_local, m_local, mask_total, &mut probs, &mut grad,
+            );
+            let mut lbuf = [loss_local as f32];
             ctx.allreduce_sum(&mut lbuf);
             losses.push(lbuf[0] as f64);
 
-            let mut dw = cctx.matmul_at(&hp, &grad);
+            cctx.matmul_at_into(&hp, &grad, &mut dw);
             ctx.allreduce_sum(dw.data_mut());
             w.sub_scaled_assign(&dw, learning_rate);
         }

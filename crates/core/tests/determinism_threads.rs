@@ -1,11 +1,12 @@
 //! Full-training bitwise determinism across kernel thread counts.
 //!
-//! The pooled kernels are individually bitwise identical to serial (see
-//! `pargcn-matrix`'s determinism suite); these tests close the loop at the
-//! trainer level: whole distributed and serial training runs — losses,
-//! final parameters, and predictions — are bitwise equal at 1, 2, and 7
-//! threads per rank. Combined with the plan-order accumulation guarantee
-//! of the exchange, thread count can never leak into results.
+//! Every `ComputeCtx` product is individually bitwise identical at any
+//! thread count (see `pargcn-matrix`'s determinism suite); these tests
+//! close the loop at the trainer level: whole distributed and serial
+//! training runs — losses, final parameters, and predictions — are
+//! bitwise equal at 1, 2, and 7 threads per rank. Combined with the
+//! plan-order accumulation guarantee of the exchange, thread count can
+//! never leak into results.
 
 use pargcn_core::dist;
 use pargcn_core::model::GcnConfig;

@@ -1,4 +1,5 @@
-//! Compressed-sparse-row matrix and the SpMM kernel.
+//! Compressed-sparse-row matrix (SpMM with it runs through
+//! [`crate::ComputeCtx::spmm_into`]).
 //!
 //! The adjacency matrix `Â` is the only sparse matrix in GCN training
 //! (paper §3.1); everything else is dense. CSR gives contiguous access to a
@@ -7,7 +8,6 @@
 //! `Z(i,:)` live on the same processor.
 
 use crate::Dense;
-use pargcn_util::pool::{weighted_chunks, Pool};
 
 /// A CSR sparse `f32` matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,85 +242,6 @@ impl Csr {
         }
     }
 
-    /// SpMM: `self × h` where `h` is dense. `self` is `m×k`, `h` is `k×d`.
-    pub fn spmm(&self, h: &Dense) -> Dense {
-        let mut out = Dense::zeros(self.n_rows, h.cols());
-        self.spmm_into(h, &mut out, false);
-        out
-    }
-
-    /// `out (+)= self × h`. With `accumulate`, adds into `out` — the shape of
-    /// Algorithm 1 line 9, where remote contributions `Âₘ·H_{nm}` are folded
-    /// into the partially-computed local product.
-    pub fn spmm_into(&self, h: &Dense, out: &mut Dense, accumulate: bool) {
-        assert_eq!(self.n_cols, h.rows(), "spmm dimension mismatch");
-        assert_eq!(out.rows(), self.n_rows, "spmm output rows mismatch");
-        assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let d = h.cols();
-        for i in 0..self.n_rows {
-            let cols = self.row_indices(i);
-            let vals = self.row_values(i);
-            let out_row = &mut out.data_mut()[i * d..(i + 1) * d];
-            for (&c, &v) in cols.iter().zip(vals) {
-                let h_row = h.row(c as usize);
-                for (o, &x) in out_row.iter_mut().zip(h_row) {
-                    *o += v * x;
-                }
-            }
-        }
-    }
-
-    /// Pooled [`Csr::spmm`]; see [`Csr::spmm_into_pool`].
-    pub fn spmm_pool(&self, h: &Dense, pool: &Pool) -> Dense {
-        let mut out = Dense::zeros(self.n_rows, h.cols());
-        self.spmm_into_pool(h, &mut out, true, pool);
-        out
-    }
-
-    /// Pooled [`Csr::spmm_into`]: output rows are split across the pool's
-    /// threads by *nonzero count* (via [`weighted_chunks`] over `indptr`),
-    /// so a few dense hub rows don't serialize the kernel.
-    ///
-    /// Each output element is produced by exactly one thread, which
-    /// accumulates that row's nonzero terms in the **canonical order** —
-    /// one accumulator per element, terms added in ascending CSR position.
-    /// Every SpMM kernel in this crate (this one, the serial
-    /// [`Csr::spmm_into`], and the tiled [`crate::spmm_kernel::spmm_into`])
-    /// realizes that same order, so all of them are bitwise identical to
-    /// each other at any thread count (see DESIGN.md §10).
-    pub fn spmm_into_pool(&self, h: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-        let d = h.cols();
-        if pool.threads() == 1 || self.nnz() * d < crate::ctx::MIN_PARALLEL_WORK {
-            self.spmm_into(h, out, accumulate);
-            return;
-        }
-        assert_eq!(self.n_cols, h.rows(), "spmm dimension mismatch");
-        assert_eq!(out.rows(), self.n_rows, "spmm output rows mismatch");
-        assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let ranges = weighted_chunks(&self.indptr, pool.threads());
-        pool.run_disjoint_rows(out.data_mut(), d, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let cols = self.row_indices(i);
-                let vals = self.row_values(i);
-                let local = i - rows.start;
-                let out_row = &mut out_rows[local * d..(local + 1) * d];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let h_row = h.row(c as usize);
-                    for (o, &x) in out_row.iter_mut().zip(h_row) {
-                        *o += v * x;
-                    }
-                }
-            }
-        });
-    }
-
     /// Extracts the submatrix formed by the given rows, keeping the full
     /// column space. This is the paper's `Aₘ ∈ R^{n×n}` — a processor's
     /// local row block, still indexed by global columns.
@@ -432,6 +353,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComputeCtx;
     use pargcn_util::rng::StdRng;
     use pargcn_util::rng::{Rng, SeedableRng};
 
@@ -465,7 +387,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = random_csr(&mut rng, 9, 7, 0.3);
         let h = Dense::random(7, 4, &mut rng);
-        assert!(a.spmm(&h).approx_eq(&a.to_dense().matmul(&h), 1e-5));
+        let ctx = ComputeCtx::serial();
+        let dense = ctx.matmul(&a.to_dense(), &h);
+        assert!(ctx.spmm(&a, &h).approx_eq(&dense, 1e-5));
     }
 
     #[test]
@@ -473,10 +397,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let a = random_csr(&mut rng, 5, 5, 0.4);
         let h = Dense::random(5, 3, &mut rng);
-        let mut out = a.spmm(&h);
-        a.spmm_into(&h, &mut out, true);
-        let mut twice = a.spmm(&h);
-        twice.add_assign(&a.spmm(&h));
+        let ctx = ComputeCtx::serial();
+        let mut out = ctx.spmm(&a, &h);
+        ctx.spmm_into(&a, &h, &mut out, true);
+        let mut twice = ctx.spmm(&a, &h);
+        twice.add_assign(&ctx.spmm(&a, &h));
         assert!(out.approx_eq(&twice, 1e-5));
     }
 
@@ -525,7 +450,8 @@ mod tests {
     fn identity_spmm_is_noop() {
         let mut rng = StdRng::seed_from_u64(10);
         let h = Dense::random(6, 3, &mut rng);
-        assert!(Csr::identity(6).spmm(&h).approx_eq(&h, 0.0));
+        let out = ComputeCtx::serial().spmm(&Csr::identity(6), &h);
+        assert!(out.approx_eq(&h, 0.0));
     }
 
     #[test]
@@ -534,6 +460,6 @@ mod tests {
         assert_eq!(a.row_nnz(0), 0);
         assert_eq!(a.row_nnz(4), 1);
         let h = Dense::zeros(5, 2);
-        assert_eq!(a.spmm(&h).rows(), 5);
+        assert_eq!(ComputeCtx::serial().spmm(&a, &h).rows(), 5);
     }
 }

@@ -1,13 +1,17 @@
-//! Compute context: the per-rank handle to intra-rank thread parallelism
-//! and kernel selection.
+//! Compute context: the one kernel API, and the per-rank handle to
+//! intra-rank thread parallelism and kernel selection.
 //!
 //! The paper's processors each run multithreaded SuiteSparse:GraphBLAS
-//! kernels; [`ComputeCtx`] is our equivalent — a shared handle to a
-//! [`Pool`] that the SpMM/DMM kernels use to split row ranges across
-//! threads, plus the choice of **kernel engine** ([`KernelKind`]): the
-//! naive reference loops or the cache-blocked engine ([`crate::gemm`],
-//! [`crate::spmm_kernel`]). One context is built per simulated rank, so
-//! `p` ranks × `t` threads gives the paper's hybrid execution model.
+//! kernels; [`ComputeCtx`] is our equivalent. Every GEMM, SpMM and
+//! element-wise activation goes through its `_into` methods, which write
+//! into caller buffers. Each one checks the shapes, meters the FLOPs,
+//! and splits the output rows across a shared [`Pool`] (serially below
+//! [`MIN_PARALLEL_WORK`]). It then runs the selected **kernel engine**'s
+//! row-range body ([`KernelKind`]) on each chunk: the naive reference
+//! loops, or the cache-blocked engine ([`crate::gemm`],
+//! [`crate::spmm_kernel`]). Threading never leaks into the engines. One
+//! context is built per simulated rank, so `p` ranks × `t` threads gives
+//! the paper's hybrid execution model.
 //!
 //! Every kernel dispatched here produces **bitwise identical** results
 //! regardless of engine and thread count: per output element the
@@ -21,13 +25,14 @@
 //! `CommCounters::compute_flops`, making per-rank GFLOP/s reportable
 //! alongside the comm/compute time split.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::gemm::{self, PackBuf};
-use crate::spmm_kernel;
+use crate::{naive, spmm_kernel};
 use crate::{Csr, Dense};
-use pargcn_util::pool::{auto_threads, Pool};
+use pargcn_util::pool::{auto_threads, even_chunks, weighted_chunks, Pool};
 
 /// Minimum per-kernel work (≈ inner-loop multiply-adds) before a kernel
 /// bothers splitting across threads; below this the pool dispatch overhead
@@ -189,16 +194,55 @@ impl ComputeCtx {
         self.scratch.pack.lock().unwrap().reserve(panel_floats);
     }
 
+    /// Runs `body(rows, out_rows)` over the output rows of `out` (row
+    /// width `width`): inline over all rows on a 1-thread pool or below
+    /// [`MIN_PARALLEL_WORK`], else once per chunk of `split` on the pool.
+    /// Chunks own disjoint output rows, so the split is bitwise invisible.
+    fn for_row_chunks(
+        &self,
+        out: &mut [f32],
+        width: usize,
+        work: usize,
+        split: Split<'_>,
+        body: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    ) {
+        let threads = self.threads();
+        if threads == 1 || work < MIN_PARALLEL_WORK {
+            body(0..split.rows(), out);
+            return;
+        }
+        let ranges = match split {
+            Split::Even(rows) => even_chunks(rows, threads),
+            Split::Nnz(indptr) => weighted_chunks(indptr, threads),
+        };
+        self.pool
+            .run_disjoint_rows(out, width, &ranges, |chunk, out_rows| {
+                body(ranges[chunk].clone(), out_rows)
+            });
+    }
+
     /// `out (+)= a × b` on the selected engine.
     pub fn matmul_into(&self, a: &Dense, b: &Dense, out: &mut Dense, accumulate: bool) {
-        self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.matmul_into_pool(b, out, accumulate, self.pool()),
+        assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
+        assert_eq!(out.rows(), a.rows(), "matmul output rows mismatch");
+        assert_eq!(out.cols(), b.cols(), "matmul output cols mismatch");
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        self.add_flops(2 * (m * k * n) as u64);
+        let mut pack;
+        let panels = match self.kernel {
+            KernelKind::Naive => &[][..],
             KernelKind::Blocked => {
-                let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_into(a, b, out, accumulate, &mut pack, self.pool());
+                pack = self.scratch.pack.lock().expect("a blocked kernel panicked");
+                gemm::pack_b(b, &mut pack)
             }
-        }
+        };
+        let out = out.data_mut();
+        self.for_row_chunks(out, n, m * k * n, Split::Even(m), |rows, out| {
+            match self.kernel {
+                KernelKind::Naive => naive::gemm_rows(a, b, rows, out, accumulate),
+                KernelKind::Blocked => gemm::gemm_rows(a, rows, panels, n, out, accumulate),
+            }
+        });
     }
 
     /// `a × b` on the selected engine.
@@ -208,16 +252,32 @@ impl ComputeCtx {
         out
     }
 
-    /// `out = a × bᵀ` on the selected engine.
+    /// `out = a × bᵀ` on the selected engine (`b` is `n×k`; `Bᵀ` is never
+    /// materialized) — backpropagation's `S = (ÂG)·Wᵀ`.
     pub fn matmul_bt_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
-        self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.matmul_bt_into_pool(b, out, self.pool()),
+        assert_eq!(a.cols(), b.cols(), "matmul_bt dimension mismatch");
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (a.rows(), b.rows()),
+            "matmul_bt_into output shape mismatch"
+        );
+        let (m, k, n) = (a.rows(), a.cols(), b.rows());
+        self.add_flops(2 * (m * k * n) as u64);
+        let mut pack;
+        let panels = match self.kernel {
+            KernelKind::Naive => &[][..],
             KernelKind::Blocked => {
-                let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_bt_into(a, b, out, &mut pack, self.pool());
+                pack = self.scratch.pack.lock().expect("a blocked kernel panicked");
+                gemm::pack_bt(b, &mut pack)
             }
-        }
+        };
+        let out = out.data_mut();
+        self.for_row_chunks(out, n, m * k * n, Split::Even(m), |rows, out| {
+            match self.kernel {
+                KernelKind::Naive => naive::gemm_bt_rows(a, b, rows, out),
+                KernelKind::Blocked => gemm::gemm_rows(a, rows, panels, n, out, false),
+            }
+        });
     }
 
     /// `a × bᵀ` on the selected engine.
@@ -227,14 +287,26 @@ impl ComputeCtx {
         out
     }
 
-    /// `out = aᵀ × b` (the parameter-gradient kernel) on the selected
-    /// engine.
+    /// `out = aᵀ × b` on the selected engine (`a` is `r×m`, `b` is `r×n`)
+    /// — the parameter gradient `ΔWᵏ = (H^{k-1})ᵀ (Â Gᵏ)` (paper Eq. 4).
+    /// The split is over output rows (columns of `a`), each chunk
+    /// sweeping every input row, so nothing is reduced across threads.
     pub fn matmul_at_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
-        self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.matmul_at_into_pool(b, out, self.pool()),
-            KernelKind::Blocked => gemm::matmul_at_into(a, b, out, self.pool()),
-        }
+        assert_eq!(a.rows(), b.rows(), "matmul_at dimension mismatch");
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (a.cols(), b.cols()),
+            "matmul_at_into output shape mismatch"
+        );
+        let (r, m, n) = (a.rows(), a.cols(), b.cols());
+        self.add_flops(2 * (r * m * n) as u64);
+        let out = out.data_mut();
+        self.for_row_chunks(out, n, r * m * n, Split::Even(m), |js, out| {
+            match self.kernel {
+                KernelKind::Naive => naive::gemm_at_rows(a, b, js, out),
+                KernelKind::Blocked => gemm::at_rows(a, b, js, out),
+            }
+        });
     }
 
     /// `aᵀ × b` on the selected engine.
@@ -244,13 +316,22 @@ impl ComputeCtx {
         out
     }
 
-    /// `out (+)= a × h` (SpMM) on the selected engine.
+    /// `out (+)= a × h` (SpMM) on the selected engine. Rows are split by
+    /// nonzero count, so a few dense hub rows don't serialize the kernel;
+    /// `accumulate` is Algorithm 1 line 9, folding remote blocks `Âₘ·H`
+    /// into the local product.
     pub fn spmm_into(&self, a: &Csr, h: &Dense, out: &mut Dense, accumulate: bool) {
-        self.add_flops(2 * (a.nnz() * h.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.spmm_into_pool(h, out, accumulate, self.pool()),
-            KernelKind::Blocked => spmm_kernel::spmm_into(a, h, out, accumulate, self.pool()),
-        }
+        assert_eq!(a.n_cols(), h.rows(), "spmm dimension mismatch");
+        assert_eq!(out.rows(), a.n_rows(), "spmm output rows mismatch");
+        assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
+        let d = h.cols();
+        self.add_flops(2 * (a.nnz() * d) as u64);
+        let out = out.data_mut();
+        let split = Split::Nnz(a.indptr());
+        self.for_row_chunks(out, d, a.nnz() * d, split, |rows, out| match self.kernel {
+            KernelKind::Naive => naive::spmm_rows(a, h, rows, out, accumulate),
+            KernelKind::Blocked => spmm_kernel::spmm_rows(a, h, rows, out, accumulate),
+        });
     }
 
     /// `a × h` (SpMM) on the selected engine.
@@ -258,6 +339,42 @@ impl ComputeCtx {
         let mut out = Dense::zeros(a.n_rows(), h.cols());
         self.spmm_into(a, h, &mut out, false);
         out
+    }
+
+    /// `out = f(src)` element-wise (the activations `σ`, `σ'`); the same
+    /// on both engines and metered as zero FLOPs.
+    pub fn map_into(&self, src: &Dense, out: &mut Dense, f: impl Fn(f32) -> f32 + Sync) {
+        assert_eq!(
+            (src.rows(), src.cols()),
+            (out.rows(), out.cols()),
+            "map_into shape mismatch"
+        );
+        let (m, width) = (src.rows(), src.cols());
+        let out = out.data_mut();
+        self.for_row_chunks(out, width, m * width, Split::Even(m), |rows, out| {
+            let src = &src.data()[rows.start * width..rows.end * width];
+            for (o, &v) in out.iter_mut().zip(src) {
+                *o = f(v);
+            }
+        });
+    }
+}
+
+/// How a product's output rows are chunked across the pool.
+#[derive(Clone, Copy)]
+enum Split<'a> {
+    /// [`even_chunks`] over this many output rows (GEMM, map).
+    Even(usize),
+    /// [`weighted_chunks`] over a CSR `indptr`: balanced by nonzeros (SpMM).
+    Nnz(&'a [usize]),
+}
+
+impl Split<'_> {
+    fn rows(self) -> usize {
+        match self {
+            Split::Even(rows) => rows,
+            Split::Nnz(indptr) => indptr.len() - 1,
+        }
     }
 }
 
@@ -320,6 +437,8 @@ mod tests {
         let _ = ctx.matmul(&a, &b); // 2*10*4*3 = 240
         let clone = ctx.clone();
         let _ = clone.matmul_bt(&b, &b); // 2*4*3*4 = 96
+        let mut mapped = Dense::zeros(4, 3);
+        ctx.map_into(&b, &mut mapped, |v| v.max(0.0)); // activations: none
         assert_eq!(ctx.flops(), 240 + 96);
         assert_eq!(ctx.take_flops(), 336);
         assert_eq!(ctx.flops(), 0);

@@ -1,12 +1,11 @@
-//! Row-major dense matrix with the DMM kernels used in GCN training.
+//! Row-major dense matrix: data access and the in-place element-wise ops
+//! of GCN training.
 //!
 //! The matrices handled here are the vertex-feature blocks `H` (tall and
 //! skinny: many rows, few columns) and the parameter matrices `W` (small,
-//! replicated on every processor). Kernels are written in the i-k-j loop
-//! order so the inner loop streams contiguously over rows of the right-hand
-//! operand, which vectorizes well for skinny matrices.
+//! replicated on every processor). Products of them (DMM, and SpMM with a
+//! [`crate::Csr`]) run through [`crate::ComputeCtx`].
 
-use pargcn_util::pool::{even_chunks, Pool};
 use pargcn_util::rng::Rng;
 
 /// A row-major dense `f32` matrix.
@@ -123,7 +122,6 @@ impl Dense {
         self.data[i * self.cols + j] = v;
     }
 
-    /// Resets every entry to zero, keeping the allocation.
     /// Consumes the matrix, yielding its backing row-major storage. The
     /// inverse of [`Dense::from_vec`]: together they let a message payload
     /// be viewed as a matrix and then recycled without copying.
@@ -142,307 +140,13 @@ impl Dense {
         self.data.copy_from_slice(&src.data);
     }
 
+    /// Resets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// `self × b` (DMM). `self` is `m×k`, `b` is `k×n`, result `m×n`.
-    pub fn matmul(&self, b: &Dense) -> Dense {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        let mut out = Dense::zeros(self.rows, b.cols);
-        self.matmul_into(b, &mut out, false);
-        out
-    }
-
-    /// `out (+)= self × b`; when `accumulate` is false `out` is overwritten.
-    ///
-    /// Writing into a caller-provided buffer lets the per-epoch training loop
-    /// reuse allocations (the feature blocks are recomputed every layer).
-    pub fn matmul_into(&self, b: &Dense, out: &mut Dense, accumulate: bool) {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        assert_eq!(out.rows, self.rows, "matmul output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let n = b.cols;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b.data[k * n..(k + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bv;
-                }
-            }
-        }
-    }
-
-    /// Pooled [`Dense::matmul`]; see [`Dense::matmul_into_pool`].
-    pub fn matmul_pool(&self, b: &Dense, pool: &Pool) -> Dense {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        let mut out = Dense::zeros(self.rows, b.cols);
-        self.matmul_into_pool(b, &mut out, true, pool);
-        out
-    }
-
-    /// Pooled [`Dense::matmul_into`]: output rows are split evenly across
-    /// the pool's threads. Each chunk runs the serial inner loops over its
-    /// disjoint output rows, so the result is bitwise identical to
-    /// [`Dense::matmul_into`] at any thread count.
-    pub fn matmul_into_pool(&self, b: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-        if pool.threads() == 1 || self.rows * self.cols * b.cols < crate::ctx::MIN_PARALLEL_WORK {
-            self.matmul_into(b, out, accumulate);
-            return;
-        }
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        assert_eq!(out.rows, self.rows, "matmul output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let n = b.cols;
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, n, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let a_row = self.row(i);
-                let local = i - rows.start;
-                let out_row = &mut out_rows[local * n..(local + 1) * n];
-                for (k, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b.data[k * n..(k + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        });
-    }
-
-    /// `self × bᵀ`. `self` is `m×k`, `b` is `n×k`, result `m×n`.
-    ///
-    /// Used in backpropagation for `S = (ÂG)·Wᵀ` without materializing `Wᵀ`.
-    pub fn matmul_bt(&self, b: &Dense) -> Dense {
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        let mut out = Dense::zeros(self.rows, b.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..b.rows {
-                let b_row = b.row(j);
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                out.data[i * b.rows + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// [`Dense::matmul_bt`] writing into a caller-provided `out`
-    /// (overwritten, never reallocated) — the allocation-free form the
-    /// persistent training workspaces use.
-    pub fn matmul_bt_into(&self, b: &Dense, out: &mut Dense) {
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, b.rows),
-            "matmul_bt_into output shape mismatch"
-        );
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..b.rows {
-                let b_row = b.row(j);
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                out.data[i * b.rows + j] = acc;
-            }
-        }
-    }
-
-    /// Pooled [`Dense::matmul_bt_into`]; bitwise identical to serial.
-    pub fn matmul_bt_into_pool(&self, b: &Dense, out: &mut Dense, pool: &Pool) {
-        if pool.threads() == 1 || self.rows * self.cols * b.rows < crate::ctx::MIN_PARALLEL_WORK {
-            self.matmul_bt_into(b, out);
-            return;
-        }
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, b.rows),
-            "matmul_bt_into output shape mismatch"
-        );
-        let n = b.rows;
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, n, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let a_row = self.row(i);
-                let local = i - rows.start;
-                for j in 0..n {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    out_rows[local * n + j] = acc;
-                }
-            }
-        });
-    }
-
-    /// Pooled [`Dense::matmul_bt`]: output rows split evenly; bitwise
-    /// identical to the serial kernel at any thread count (each output
-    /// element is one dot product, computed by exactly one thread with the
-    /// serial accumulation order).
-    pub fn matmul_bt_pool(&self, b: &Dense, pool: &Pool) -> Dense {
-        if pool.threads() == 1 || self.rows * self.cols * b.rows < crate::ctx::MIN_PARALLEL_WORK {
-            return self.matmul_bt(b);
-        }
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        let mut out = Dense::zeros(self.rows, b.rows);
-        let n = b.rows;
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, n, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let a_row = self.row(i);
-                let local = i - rows.start;
-                for j in 0..n {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    out_rows[local * n + j] = acc;
-                }
-            }
-        });
-        out
-    }
-
-    /// `selfᵀ × b`. `self` is `n×m`, `b` is `n×k`, result `m×k`.
-    ///
-    /// Used for the parameter gradient `ΔWᵏ = (H^{k-1})ᵀ (Â Gᵏ)` (paper Eq. 4).
-    pub fn matmul_at(&self, b: &Dense) -> Dense {
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        let mut out = Dense::zeros(self.cols, b.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let b_row = b.row(i);
-            for (j, &aij) in a_row.iter().enumerate() {
-                if aij == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[j * b.cols..(j + 1) * b.cols];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aij * bv;
-                }
-            }
-        }
-        out
-    }
-
-    /// Pooled [`Dense::matmul_at`], the parameter-gradient kernel `ΔW =
-    /// selfᵀ × b`. Parallelism is over *output* rows (columns of `self`):
-    /// each thread sweeps all input rows `i` in ascending order but only
-    /// touches its own disjoint slice of output columns `j`, so every
-    /// output element accumulates its `i`-terms in exactly the serial order
-    /// — bitwise identical to [`Dense::matmul_at`] at any thread count,
-    /// with no per-thread partial buffers or cross-thread reduction at all.
-    pub fn matmul_at_pool(&self, b: &Dense, pool: &Pool) -> Dense {
-        if pool.threads() == 1 || self.rows * self.cols * b.cols < crate::ctx::MIN_PARALLEL_WORK {
-            return self.matmul_at(b);
-        }
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        let mut out = Dense::zeros(self.cols, b.cols);
-        let k = b.cols;
-        let ranges = even_chunks(self.cols, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, k, &ranges, |chunk, out_rows| {
-            let js = &ranges[chunk];
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let b_row = b.row(i);
-                for j in js.clone() {
-                    let aij = a_row[j];
-                    if aij == 0.0 {
-                        continue;
-                    }
-                    let local = j - js.start;
-                    let out_row = &mut out_rows[local * k..(local + 1) * k];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aij * bv;
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// [`Dense::matmul_at`] into a caller-provided buffer: `out = selfᵀ × b`.
-    pub fn matmul_at_into(&self, b: &Dense, out: &mut Dense) {
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        assert_eq!(out.rows, self.cols, "matmul_at output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul_at output cols mismatch");
-        out.fill_zero();
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let b_row = b.row(i);
-            for (j, &aij) in a_row.iter().enumerate() {
-                if aij == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[j * b.cols..(j + 1) * b.cols];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aij * bv;
-                }
-            }
-        }
-    }
-
-    /// Pooled [`Dense::matmul_at_into`]: same output-row split as
-    /// [`Dense::matmul_at_pool`], so bitwise identical to the serial kernel
-    /// at any thread count.
-    pub fn matmul_at_into_pool(&self, b: &Dense, out: &mut Dense, pool: &Pool) {
-        if pool.threads() == 1 || self.rows * self.cols * b.cols < crate::ctx::MIN_PARALLEL_WORK {
-            return self.matmul_at_into(b, out);
-        }
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        assert_eq!(out.rows, self.cols, "matmul_at output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul_at output cols mismatch");
-        out.fill_zero();
-        let k = b.cols;
-        let ranges = even_chunks(self.cols, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, k, &ranges, |chunk, out_rows| {
-            let js = &ranges[chunk];
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let b_row = b.row(i);
-                for j in js.clone() {
-                    let aij = a_row[j];
-                    if aij == 0.0 {
-                        continue;
-                    }
-                    let local = j - js.start;
-                    let out_row = &mut out_rows[local * k..(local + 1) * k];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aij * bv;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Explicit transpose; only used for small matrices and in tests
-    /// (hot paths use the `matmul_bt`/`matmul_at` fused variants instead).
+    /// Explicit transpose; only used for small matrices and in tests (hot
+    /// paths use `ComputeCtx`'s fused `matmul_bt`/`matmul_at` instead).
     pub fn transpose(&self) -> Dense {
         let mut out = Dense::zeros(self.cols, self.rows);
         for i in 0..self.rows {
@@ -453,27 +157,8 @@ impl Dense {
         out
     }
 
-    /// Element-wise (Hadamard) product, as used for `G = S ⊙ σ'(Z)` (Eq. 3).
-    pub fn hadamard(&self, b: &Dense) -> Dense {
-        assert_eq!(
-            (self.rows, self.cols),
-            (b.rows, b.cols),
-            "hadamard shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&b.data)
-            .map(|(&x, &y)| x * y)
-            .collect();
-        Dense {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// In-place element-wise multiply: `self ⊙= b`.
+    /// In-place element-wise (Hadamard) multiply `self ⊙= b`, as used for
+    /// `G = S ⊙ σ'(Z)` (Eq. 3).
     pub fn hadamard_assign(&mut self, b: &Dense) {
         assert_eq!(
             (self.rows, self.cols),
@@ -514,82 +199,6 @@ impl Dense {
         for v in &mut self.data {
             *v = f(*v);
         }
-    }
-
-    /// Pooled [`Dense::map_inplace`]: rows split evenly across threads.
-    /// Element-wise, so trivially bitwise identical to serial.
-    pub fn map_inplace_pool(&mut self, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) {
-        if pool.threads() == 1 || self.data.len() < crate::ctx::MIN_PARALLEL_WORK {
-            self.map_inplace(f);
-            return;
-        }
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut self.data, self.cols, &ranges, |_, slice| {
-            for v in slice {
-                *v = f(*v);
-            }
-        });
-    }
-
-    /// A new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Dense {
-        let data = self.data.iter().map(|&v| f(v)).collect();
-        Dense {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// [`Dense::map`] writing into a caller-provided `out` of the same
-    /// shape (the allocation-free form).
-    pub fn map_into(&self, out: &mut Dense, f: impl Fn(f32) -> f32) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (out.rows, out.cols),
-            "map_into shape mismatch"
-        );
-        for (o, &v) in out.data.iter_mut().zip(&self.data) {
-            *o = f(v);
-        }
-    }
-
-    /// Pooled [`Dense::map_into`]; bitwise identical to serial for any
-    /// thread count (element-wise, disjoint writes).
-    pub fn map_into_pool(&self, out: &mut Dense, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) {
-        if pool.threads() == 1 || self.data.len() < crate::ctx::MIN_PARALLEL_WORK {
-            self.map_into(out, f);
-            return;
-        }
-        assert_eq!(
-            (self.rows, self.cols),
-            (out.rows, out.cols),
-            "map_into shape mismatch"
-        );
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, self.cols, &ranges, |chunk, slice| {
-            let start = ranges[chunk].start * self.cols;
-            for (k, o) in slice.iter_mut().enumerate() {
-                *o = f(self.data[start + k]);
-            }
-        });
-    }
-
-    /// Pooled [`Dense::map`]; bitwise identical to serial for any thread
-    /// count (element-wise, disjoint writes).
-    pub fn map_pool(&self, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) -> Dense {
-        if pool.threads() == 1 || self.data.len() < crate::ctx::MIN_PARALLEL_WORK {
-            return self.map(&f);
-        }
-        let mut out = Dense::zeros(self.rows, self.cols);
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, self.cols, &ranges, |chunk, slice| {
-            let start = ranges[chunk].start * self.cols;
-            for (k, o) in slice.iter_mut().enumerate() {
-                *o = f(self.data[start + k]);
-            }
-        });
-        out
     }
 
     /// Frobenius norm, accumulated in `f64`.
@@ -648,6 +257,7 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComputeCtx;
     use pargcn_util::rng::SeedableRng;
     use pargcn_util::rng::StdRng;
 
@@ -670,7 +280,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Dense::random(7, 5, &mut rng);
         let b = Dense::random(5, 9, &mut rng);
-        assert!(a.matmul(&b).approx_eq(&naive_matmul(&a, &b), 1e-5));
+        let ctx = ComputeCtx::serial();
+        assert!(ctx.matmul(&a, &b).approx_eq(&naive_matmul(&a, &b), 1e-5));
     }
 
     #[test]
@@ -678,7 +289,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let a = Dense::random(6, 4, &mut rng);
         let b = Dense::random(8, 4, &mut rng);
-        assert!(a.matmul_bt(&b).approx_eq(&a.matmul(&b.transpose()), 1e-5));
+        let ctx = ComputeCtx::serial();
+        let explicit = ctx.matmul(&a, &b.transpose());
+        assert!(ctx.matmul_bt(&a, &b).approx_eq(&explicit, 1e-5));
     }
 
     #[test]
@@ -686,7 +299,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = Dense::random(6, 4, &mut rng);
         let b = Dense::random(6, 3, &mut rng);
-        assert!(a.matmul_at(&b).approx_eq(&a.transpose().matmul(&b), 1e-5));
+        let ctx = ComputeCtx::serial();
+        let explicit = ctx.matmul(&a.transpose(), &b);
+        assert!(ctx.matmul_at(&a, &b).approx_eq(&explicit, 1e-5));
     }
 
     #[test]
@@ -694,10 +309,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Dense::random(3, 3, &mut rng);
         let b = Dense::random(3, 3, &mut rng);
-        let mut out = a.matmul(&b);
-        a.matmul_into(&b, &mut out, true);
-        let mut twice = a.matmul(&b);
-        twice.add_assign(&a.matmul(&b));
+        let ctx = ComputeCtx::serial();
+        let mut out = ctx.matmul(&a, &b);
+        ctx.matmul_into(&a, &b, &mut out, true);
+        let mut twice = ctx.matmul(&a, &b);
+        twice.add_assign(&ctx.matmul(&a, &b));
         assert!(out.approx_eq(&twice, 1e-5));
     }
 
@@ -712,7 +328,8 @@ mod tests {
     fn hadamard_and_updates() {
         let a = Dense::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Dense::from_vec(2, 2, vec![2.0, 0.5, 1.0, -1.0]);
-        let h = a.hadamard(&b);
+        let mut h = a.clone();
+        h.hadamard_assign(&b);
         assert_eq!(h.data(), &[2.0, 1.0, 3.0, -4.0]);
         let mut w = a.clone();
         w.sub_scaled_assign(&b, 2.0);
@@ -740,6 +357,6 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Dense::zeros(2, 3);
         let b = Dense::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = ComputeCtx::serial().matmul(&a, &b);
     }
 }

@@ -1,4 +1,6 @@
-//! Cache-blocked GEMM engine shared by every dense-matmul variant.
+//! Cache-blocked GEMM engine: the blocked row-range bodies behind
+//! [`crate::ComputeCtx`]'s three dense products (which own the shape
+//! checks and the split of output rows across threads).
 //!
 //! The classic packing scheme (Goto & van de Geijn): the right-hand
 //! operand is copied once per call into `NR`-wide **column panels** laid
@@ -27,10 +29,11 @@
 //! dimension onto a tiny output) is different: packing either operand
 //! would copy more memory than the whole multiply reads, so it gets its
 //! own pack-free kernel — an input-row-blocked outer product with
-//! register-tiled output columns (see [`matmul_at_into`]).
+//! register-tiled output columns (see [`at_rows`]).
+
+use std::ops::Range;
 
 use crate::dense::Dense;
-use pargcn_util::pool::{even_chunks, Pool};
 
 /// Micro-kernel output-tile height (rows of `A` per tile).
 pub const MR: usize = 4;
@@ -61,34 +64,36 @@ impl PackBuf {
     }
 }
 
-/// Packs `b` (`k×n`, row-major) into column panels: panel `jp` holds
-/// columns `[jp, jp+w)` contiguously k-major at offset `jp*k`.
-fn pack_b(b: &[f32], k: usize, n: usize, panels: &mut Vec<f32>) {
-    if panels.len() < k * n {
-        panels.resize(k * n, 0.0);
-    }
+/// Packs `b` (`k×n`, row-major) into column panels — panel `jp` holds
+/// columns `[jp, jp+w)` contiguously k-major at offset `jp*k` — and
+/// returns them.
+pub(crate) fn pack_b<'p>(b: &Dense, pack: &'p mut PackBuf) -> &'p [f32] {
+    let (k, n) = (b.rows(), b.cols());
+    let b = b.data();
+    pack.reserve(k * n);
     let mut jp = 0;
     while jp < n {
         let w = NR.min(n - jp);
-        let dst = &mut panels[jp * k..jp * k + k * w];
+        let dst = &mut pack.panels[jp * k..jp * k + k * w];
         for kk in 0..k {
             dst[kk * w..kk * w + w].copy_from_slice(&b[kk * n + jp..kk * n + jp + w]);
         }
         jp += w;
     }
+    &pack.panels[..k * n]
 }
 
 /// Transposing pack: treats `b` (`n×k`, row-major) as its transpose
-/// `Bᵀ` (`k×n`) and packs that into column panels — the `A·Bᵀ` variant
+/// `Bᵀ` (`k×n`) and packs that into column panels — the `A·Bᵀ` product
 /// never materializes `Bᵀ`.
-fn pack_bt(b: &[f32], n: usize, k: usize, panels: &mut Vec<f32>) {
-    if panels.len() < k * n {
-        panels.resize(k * n, 0.0);
-    }
+pub(crate) fn pack_bt<'p>(b: &Dense, pack: &'p mut PackBuf) -> &'p [f32] {
+    let (n, k) = (b.rows(), b.cols());
+    let b = b.data();
+    pack.reserve(k * n);
     let mut jp = 0;
     while jp < n {
         let w = NR.min(n - jp);
-        let dst = &mut panels[jp * k..jp * k + k * w];
+        let dst = &mut pack.panels[jp * k..jp * k + k * w];
         for kk in 0..k {
             for jj in 0..w {
                 dst[kk * w + jj] = b[(jp + jj) * k + kk];
@@ -96,6 +101,7 @@ fn pack_bt(b: &[f32], n: usize, k: usize, panels: &mut Vec<f32>) {
         }
         jp += w;
     }
+    &pack.panels[..k * n]
 }
 
 /// Input rows per block of the `Aᵀ·B` outer-product kernel: the register
@@ -172,19 +178,12 @@ fn at_edge_pass(
 /// output stays cache-hot (it is `a.cols × b.cols` — feature-sized), both
 /// inputs are streamed through exactly once, and every output element
 /// still sums its terms in ascending input-row order — the naive
-/// [`Dense::matmul_at`] order, bit for bit.
-fn at_rows(
-    a: &[f32],
-    m: usize,
-    b: &[f32],
-    n: usize,
-    r: usize,
-    js: std::ops::Range<usize>,
-    out_rows: &mut [f32],
-) {
-    for v in out_rows.iter_mut() {
-        *v = 0.0;
-    }
+/// engine's order, bit for bit. Packing either operand would copy more
+/// memory than the whole multiply reads, so this body is pack-free.
+pub(crate) fn at_rows(a: &Dense, b: &Dense, js: Range<usize>, out_rows: &mut [f32]) {
+    let (r, m, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.data(), b.data());
+    out_rows.fill(0.0);
     let mut i0 = 0;
     while i0 < r {
         let ie = (i0 + AT_IB).min(r);
@@ -286,35 +285,33 @@ fn micro_edge(
     }
 }
 
-/// Runs the micro-kernels over `m` consecutive rows of `a` (starting at
-/// its first element, stride `lda`) against pre-packed panels, writing
-/// `m×n` output rows starting at `out[0]`. The unit of work a pool chunk
-/// executes; chunk boundaries only regroup rows and per-element sums are
-/// row-independent, so splitting is bitwise invisible.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: &[f32],
-    lda: usize,
-    m: usize,
-    k: usize,
+/// Runs the micro-kernels over rows `rows` of `a` against the panels of
+/// an `n`-column right operand, writing those output rows into `out`. A
+/// split only regroups rows and per-element sums are row-independent, so
+/// splitting is bitwise invisible.
+pub(crate) fn gemm_rows(
+    a: &Dense,
+    rows: Range<usize>,
     panels: &[f32],
     n: usize,
     out: &mut [f32],
     accumulate: bool,
 ) {
+    let (m, k) = (rows.len(), a.cols());
+    let a = &a.data()[rows.start * k..];
     let mut i0 = 0;
     while i0 < m {
         let mr = MR.min(m - i0);
-        let a_tile = &a[i0 * lda..];
+        let a_tile = &a[i0 * k..];
         let mut jp = 0;
         while jp < n {
             let w = NR.min(n - jp);
             let panel = &panels[jp * k..jp * k + k * w];
             let out_tile = &mut out[i0 * n..];
             if mr == MR && w == NR {
-                micro_full(a_tile, lda, panel, k, out_tile, n, jp, accumulate);
+                micro_full(a_tile, k, panel, k, out_tile, n, jp, accumulate);
             } else {
-                micro_edge(a_tile, lda, mr, panel, w, k, out_tile, n, jp, accumulate);
+                micro_edge(a_tile, k, mr, panel, w, k, out_tile, n, jp, accumulate);
             }
             jp += w;
         }
@@ -322,111 +319,10 @@ fn gemm_rows(
     }
 }
 
-/// Blocked `out (+)= A·panels` over a whole `m×n` output, split across
-/// the pool's threads by output rows exactly like the naive `_pool`
-/// kernels (same `MIN_PARALLEL_WORK` cutoff, same `even_chunks`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_with_panels(
-    a: &[f32],
-    lda: usize,
-    m: usize,
-    k: usize,
-    panels: &[f32],
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-    pool: &Pool,
-) {
-    if pool.threads() == 1 || m * k * n < crate::ctx::MIN_PARALLEL_WORK {
-        gemm_rows(a, lda, m, k, panels, n, out, accumulate);
-        return;
-    }
-    let ranges = even_chunks(m, pool.threads());
-    pool.run_disjoint_rows(out, n, &ranges, |chunk, out_rows| {
-        let rows = &ranges[chunk];
-        gemm_rows(
-            &a[rows.start * lda..],
-            lda,
-            rows.len(),
-            k,
-            panels,
-            n,
-            out_rows,
-            accumulate,
-        );
-    });
-}
-
-/// Blocked [`Dense::matmul_into`]: `out (+)= a × b`.
-pub fn matmul_into(
-    a: &Dense,
-    b: &Dense,
-    out: &mut Dense,
-    accumulate: bool,
-    pack: &mut PackBuf,
-    pool: &Pool,
-) {
-    assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
-    assert_eq!(out.rows(), a.rows(), "matmul output rows mismatch");
-    assert_eq!(out.cols(), b.cols(), "matmul output cols mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    pack_b(b.data(), k, n, &mut pack.panels);
-    let panels = &pack.panels[..k * n];
-    gemm_with_panels(
-        a.data(),
-        k,
-        m,
-        k,
-        panels,
-        n,
-        out.data_mut(),
-        accumulate,
-        pool,
-    );
-}
-
-/// Blocked [`Dense::matmul_bt_into`]: `out = a × bᵀ` (`a` is `m×k`, `b`
-/// is `n×k`). The transpose happens inside the pack — no `Bᵀ` is ever
-/// materialized.
-pub fn matmul_bt_into(a: &Dense, b: &Dense, out: &mut Dense, pack: &mut PackBuf, pool: &Pool) {
-    assert_eq!(a.cols(), b.cols(), "matmul_bt dimension mismatch");
-    assert_eq!(
-        (out.rows(), out.cols()),
-        (a.rows(), b.rows()),
-        "matmul_bt_into output shape mismatch"
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    pack_bt(b.data(), n, k, &mut pack.panels);
-    let panels = &pack.panels[..k * n];
-    gemm_with_panels(a.data(), k, m, k, panels, n, out.data_mut(), false, pool);
-}
-
-/// Blocked [`Dense::matmul_at_into`]: `out = aᵀ × b` (`a` is `r×m`, `b`
-/// is `r×n`, result `m×n`). Pack-free input-row-blocked outer product
-/// (see [`at_rows`]); parallelism splits the output rows exactly like
-/// the naive pooled kernel (same cutoff, same `even_chunks`), which is
-/// bitwise invisible because output rows are independent.
-pub fn matmul_at_into(a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool) {
-    assert_eq!(a.rows(), b.rows(), "matmul_at dimension mismatch");
-    assert_eq!(
-        (out.rows(), out.cols()),
-        (a.cols(), b.cols()),
-        "matmul_at_into output shape mismatch"
-    );
-    let (r, m, n) = (a.rows(), a.cols(), b.cols());
-    if pool.threads() == 1 || r * m * n < crate::ctx::MIN_PARALLEL_WORK {
-        at_rows(a.data(), m, b.data(), n, r, 0..m, out.data_mut());
-        return;
-    }
-    let ranges = even_chunks(m, pool.threads());
-    pool.run_disjoint_rows(out.data_mut(), n, &ranges, |chunk, out_rows| {
-        at_rows(a.data(), m, b.data(), n, r, ranges[chunk].clone(), out_rows);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComputeCtx, KernelKind};
     use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
     fn bits(d: &Dense) -> Vec<u32> {
@@ -445,65 +341,67 @@ mod tests {
         })
     }
 
+    fn engines(threads: usize) -> (ComputeCtx, ComputeCtx) {
+        let ctx = ComputeCtx::with_threads(threads);
+        (
+            ctx.clone().with_kernel(KernelKind::Naive),
+            ctx.with_kernel(KernelKind::Blocked),
+        )
+    }
+
     #[test]
     fn blocked_matmul_matches_naive_bitwise() {
-        let pool = Pool::new(1);
-        let mut pack = PackBuf::new();
+        let (naive, blocked) = engines(1);
         for (m, k, n) in [(7, 5, 9), (64, 32, 16), (1, 1, 1), (13, 8, 8), (100, 3, 17)] {
             let a = random(m, k, 1);
             let b = random(k, n, 2);
-            let mut naive = Dense::zeros(m, n);
-            a.matmul_into(&b, &mut naive, false);
-            let mut blocked = Dense::zeros(m, n);
-            matmul_into(&a, &b, &mut blocked, false, &mut pack, &pool);
-            assert_eq!(bits(&naive), bits(&blocked), "shape {m}x{k}x{n}");
+            assert_eq!(
+                bits(&naive.matmul(&a, &b)),
+                bits(&blocked.matmul(&a, &b)),
+                "shape {m}x{k}x{n}"
+            );
         }
     }
 
     #[test]
     fn blocked_accumulate_matches_naive_bitwise() {
-        let pool = Pool::new(2);
-        let mut pack = PackBuf::new();
+        let (naive, blocked) = engines(2);
         let a = random(33, 17, 3);
         let b = random(17, 12, 4);
         // Accumulator contents must be sum-reachable (never -0.0): use a
         // prior product, exactly like the trainers do.
-        let mut naive = a.matmul(&b);
-        let mut blocked = naive.clone();
-        a.matmul_into(&b, &mut naive, true);
-        matmul_into(&a, &b, &mut blocked, true, &mut pack, &pool);
-        assert_eq!(bits(&naive), bits(&blocked));
+        let mut out_n = naive.matmul(&a, &b);
+        let mut out_b = out_n.clone();
+        naive.matmul_into(&a, &b, &mut out_n, true);
+        blocked.matmul_into(&a, &b, &mut out_b, true);
+        assert_eq!(bits(&out_n), bits(&out_b));
     }
 
     #[test]
     fn blocked_bt_and_at_match_naive_bitwise() {
-        let pool = Pool::new(1);
-        let mut pack = PackBuf::new();
+        let (naive, blocked) = engines(1);
         let a = random(21, 10, 5);
         let b = random(14, 10, 6);
-        let mut blocked = Dense::zeros(21, 14);
-        matmul_bt_into(&a, &b, &mut blocked, &mut pack, &pool);
-        assert_eq!(bits(&a.matmul_bt(&b)), bits(&blocked));
+        assert_eq!(
+            bits(&naive.matmul_bt(&a, &b)),
+            bits(&blocked.matmul_bt(&a, &b))
+        );
 
         let h = random(50, 6, 7);
         let g = random(50, 11, 8);
-        let mut blocked = Dense::zeros(6, 11);
-        matmul_at_into(&h, &g, &mut blocked, &pool);
-        assert_eq!(bits(&h.matmul_at(&g)), bits(&blocked));
+        assert_eq!(
+            bits(&naive.matmul_at(&h, &g)),
+            bits(&blocked.matmul_at(&h, &g))
+        );
     }
 
     #[test]
     fn degenerate_shapes_are_handled() {
-        let pool = Pool::new(1);
-        let mut pack = PackBuf::new();
+        let (naive, blocked) = engines(1);
         for (m, k, n) in [(0, 4, 4), (4, 0, 4), (4, 4, 0), (0, 0, 0)] {
             let a = Dense::zeros(m, k);
             let b = Dense::zeros(k, n);
-            let mut out = Dense::zeros(m, n);
-            matmul_into(&a, &b, &mut out, false, &mut pack, &pool);
-            let mut naive = Dense::zeros(m, n);
-            a.matmul_into(&b, &mut naive, false);
-            assert_eq!(bits(&naive), bits(&out));
+            assert_eq!(bits(&naive.matmul(&a, &b)), bits(&blocked.matmul(&a, &b)));
         }
     }
 

@@ -135,8 +135,9 @@ mod tests {
         );
         let norm = normalize_adjacency(&a);
         let mut x = crate::Dense::from_vec(4, 1, vec![1.0, -0.5, 0.25, 0.7]);
+        let ctx = crate::ComputeCtx::serial();
         for _ in 0..50 {
-            let nx = norm.spmm(&x);
+            let nx = ctx.spmm(&norm, &x);
             assert!(nx.frobenius_norm() <= x.frobenius_norm() * (1.0 + 1e-5));
             x = nx;
         }

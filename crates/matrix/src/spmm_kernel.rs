@@ -1,6 +1,8 @@
-//! Row-block × column-tile SpMM kernel.
+//! Row-block × column-tile SpMM kernel: the blocked engine's row-range
+//! body behind [`crate::ComputeCtx::spmm_into`] (which owns the shape
+//! checks and the nnz-weighted split of rows across threads).
 //!
-//! The naive [`crate::Csr::spmm_into`] is a scalar row-wise axpy: every
+//! The naive engine's SpMM is a scalar row-wise axpy: every
 //! nonzero re-reads and re-writes the whole `d`-wide output row from
 //! memory. This kernel instead walks each row's nonzeros once per
 //! **column tile** of the dense operand, holding the tile's partial sums
@@ -20,9 +22,10 @@
 //! is exactly the naive kernel's order. Blocked ≡ naive bit-for-bit on
 //! every input, at every thread count (see DESIGN.md §10).
 
+use std::ops::Range;
+
 use crate::csr::Csr;
 use crate::dense::Dense;
-use pargcn_util::pool::{weighted_chunks, Pool};
 
 /// Rows per block: consecutive rows processed tile-by-tile together so
 /// their (overlapping) column accesses reuse hot cache lines.
@@ -77,10 +80,10 @@ fn edge_pass(
     out_row.copy_from_slice(&acc[..w]);
 }
 
-/// Processes rows `[row0, row0+m)` of `a`, writing `m` output rows
-/// starting at `out[0]` (row-major, width `d = h.cols()`).
-fn spmm_rows(a: &Csr, row0: usize, m: usize, h: &Dense, out: &mut [f32], accumulate: bool) {
-    let d = h.cols();
+/// Rows `rows` of `out (+)= a × h`, written into `out` from its first
+/// row on (row-major, width `d = h.cols()`).
+pub(crate) fn spmm_rows(a: &Csr, h: &Dense, rows: Range<usize>, out: &mut [f32], accumulate: bool) {
+    let (row0, m, d) = (rows.start, rows.len(), h.cols());
     let mut ib = 0;
     while ib < m {
         let ie = (ib + RB).min(m);
@@ -111,28 +114,10 @@ fn spmm_rows(a: &Csr, row0: usize, m: usize, h: &Dense, out: &mut [f32], accumul
     }
 }
 
-/// Blocked [`Csr::spmm_into`]: `out (+)= a × h`, split across the pool's
-/// threads by nonzero count exactly like the naive pooled kernel (same
-/// [`weighted_chunks`], same `MIN_PARALLEL_WORK` cutoff).
-pub fn spmm_into(a: &Csr, h: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-    assert_eq!(a.n_cols(), h.rows(), "spmm dimension mismatch");
-    assert_eq!(out.rows(), a.n_rows(), "spmm output rows mismatch");
-    assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
-    let d = h.cols();
-    if pool.threads() == 1 || a.nnz() * d < crate::ctx::MIN_PARALLEL_WORK {
-        spmm_rows(a, 0, a.n_rows(), h, out.data_mut(), accumulate);
-        return;
-    }
-    let ranges = weighted_chunks(a.indptr(), pool.threads());
-    pool.run_disjoint_rows(out.data_mut(), d, &ranges, |chunk, out_rows| {
-        let rows = &ranges[chunk];
-        spmm_rows(a, rows.start, rows.len(), h, out_rows, accumulate);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComputeCtx, KernelKind};
     use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
     fn bits(d: &Dense) -> Vec<u32> {
@@ -153,34 +138,33 @@ mod tests {
 
     #[test]
     fn blocked_spmm_matches_naive_bitwise() {
-        let pool = Pool::new(1);
+        let naive = ComputeCtx::serial().with_kernel(KernelKind::Naive);
+        let blocked = ComputeCtx::serial().with_kernel(KernelKind::Blocked);
         let mut rng = StdRng::seed_from_u64(9);
         for (rows, cols, d) in [(40, 30, 16), (17, 23, 5), (8, 8, 33), (3, 50, 1)] {
             let a = random_csr(rows, cols, 4, rows as u64);
             let h = Dense::random(cols, d, &mut rng);
-            let naive = a.spmm(&h);
-            let mut blocked = Dense::zeros(rows, d);
-            spmm_into(&a, &h, &mut blocked, false, &pool);
-            assert_eq!(bits(&naive), bits(&blocked), "{rows}x{cols} d={d}");
+            let out_n = naive.spmm(&a, &h);
+            let mut out_b = blocked.spmm(&a, &h);
+            assert_eq!(bits(&out_n), bits(&out_b), "{rows}x{cols} d={d}");
 
             // Accumulating path, seeded with a sum-reachable value.
-            let mut naive_acc = naive.clone();
-            a.spmm_into(&h, &mut naive_acc, true);
-            spmm_into(&a, &h, &mut blocked, true, &pool);
-            assert_eq!(bits(&naive_acc), bits(&blocked));
+            let mut acc_n = out_n.clone();
+            naive.spmm_into(&a, &h, &mut acc_n, true);
+            blocked.spmm_into(&a, &h, &mut out_b, true);
+            assert_eq!(bits(&acc_n), bits(&out_b));
         }
     }
 
     #[test]
     fn empty_and_zero_row_matrices() {
-        let pool = Pool::new(2);
+        let ctx = ComputeCtx::with_threads(2).with_kernel(KernelKind::Blocked);
         let a = Csr::from_coo(0, 5, vec![]);
         let h = Dense::zeros(5, 7);
-        let mut out = Dense::zeros(0, 7);
-        spmm_into(&a, &h, &mut out, false, &pool);
+        assert_eq!(ctx.spmm(&a, &h).rows(), 0);
         let a = Csr::from_coo(4, 5, vec![]); // rows but no nonzeros
-        let mut out = Dense::zeros(4, 7);
-        spmm_into(&a, &h, &mut out, false, &pool);
+        let mut out = Dense::from_fn(4, 7, |_, _| 1.0);
+        ctx.spmm_into(&a, &h, &mut out, false);
         assert!(out.data().iter().all(|&v| v == 0.0));
     }
 }

@@ -1,14 +1,13 @@
-//! Bitwise determinism of the pooled kernels.
+//! Bitwise determinism of the kernel API across engines and pool sizes.
 //!
-//! The contract (DESIGN.md, hybrid rank×thread section): every `_pool`
-//! kernel produces output **bitwise identical** to its serial counterpart
-//! at any thread count, because chunks write disjoint output rows with the
-//! serial inner loops and nothing is reduced across threads. These tests
-//! pin that down over qc-seeded shapes, including empty rows, skewed
-//! (hub-heavy) sparsity, and row counts far above the chunk count.
+//! The contract (DESIGN.md §10): every [`ComputeCtx`] product produces
+//! output **bitwise identical** to the naive engine on one thread, for
+//! both engines at any thread count, because chunks write disjoint output
+//! rows and nothing is reduced across threads. These tests pin that down
+//! over qc-seeded shapes, including empty rows, skewed (hub-heavy)
+//! sparsity, and row counts far above the chunk count.
 
-use pargcn_matrix::{Csr, Dense};
-use pargcn_util::pool::Pool;
+use pargcn_matrix::{ComputeCtx, Csr, Dense, KernelKind};
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
@@ -16,6 +15,23 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn bits(d: &Dense) -> Vec<u32> {
     d.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The reference every context is compared against: naive, one thread.
+fn reference() -> ComputeCtx {
+    ComputeCtx::serial().with_kernel(KernelKind::Naive)
+}
+
+/// Both engines at every pool size in [`THREAD_COUNTS`].
+fn contexts() -> Vec<ComputeCtx> {
+    [KernelKind::Naive, KernelKind::Blocked]
+        .into_iter()
+        .flat_map(|k| THREAD_COUNTS.map(|t| ComputeCtx::with_threads(t).with_kernel(k)))
+        .collect()
+}
+
+fn label(ctx: &ComputeCtx) -> String {
+    format!("{} at {} threads", ctx.kernel().name(), ctx.threads())
 }
 
 /// Random CSR with forced empty rows and a few dense "hub" rows, so the
@@ -41,45 +57,47 @@ fn random_csr(rng: &mut StdRng, rows: usize, cols: usize) -> Csr {
 
 #[test]
 fn spmm_bitwise_equal_across_thread_counts() {
+    let ctxs = contexts();
     qc::run(24, |rng| {
         let rows = rng.gen_range(1..600);
         let cols = rng.gen_range(1..400);
         let d = rng.gen_range(1..48);
         let a = random_csr(rng, rows, cols);
         let h = Dense::random(cols, d, rng);
-        let expected = bits(&a.spmm(&h));
-        for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
-            assert_eq!(
-                bits(&a.spmm_pool(&h, &pool)),
-                expected,
-                "spmm at {t} threads"
-            );
-            // The accumulate path too.
-            let mut out = a.spmm(&h);
-            a.spmm_into_pool(&h, &mut out, true, &pool);
-            let mut twice = a.spmm(&h);
-            a.spmm_into(&h, &mut twice, true);
-            assert_eq!(bits(&out), bits(&twice), "spmm accumulate at {t} threads");
+        let expected = reference().spmm(&a, &h);
+        // The accumulate path too, seeded with a prior product.
+        let mut twice = expected.clone();
+        reference().spmm_into(&a, &h, &mut twice, true);
+        for ctx in &ctxs {
+            let mut out = ctx.spmm(&a, &h);
+            assert_eq!(bits(&out), bits(&expected), "spmm, {}", label(ctx));
+            ctx.spmm_into(&a, &h, &mut out, true);
+            assert_eq!(bits(&out), bits(&twice), "spmm accumulate, {}", label(ctx));
         }
     });
 }
 
 #[test]
 fn matmul_bitwise_equal_across_thread_counts() {
+    let ctxs = contexts();
     qc::run(24, |rng| {
         let m = rng.gen_range(1..400);
         let k = rng.gen_range(1..48);
         let n = rng.gen_range(1..48);
         let a = Dense::random(m, k, rng);
         let b = Dense::random(k, n, rng);
-        let expected = bits(&a.matmul(&b));
-        for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
+        let expected = reference().matmul(&a, &b);
+        let mut twice = expected.clone();
+        reference().matmul_into(&a, &b, &mut twice, true);
+        for ctx in &ctxs {
+            let mut out = ctx.matmul(&a, &b);
+            assert_eq!(bits(&out), bits(&expected), "matmul, {}", label(ctx));
+            ctx.matmul_into(&a, &b, &mut out, true);
             assert_eq!(
-                bits(&a.matmul_pool(&b, &pool)),
-                expected,
-                "matmul at {t} threads"
+                bits(&out),
+                bits(&twice),
+                "matmul accumulate, {}",
+                label(ctx)
             );
         }
     });
@@ -87,58 +105,57 @@ fn matmul_bitwise_equal_across_thread_counts() {
 
 #[test]
 fn matmul_bt_bitwise_equal_across_thread_counts() {
+    let ctxs = contexts();
     qc::run(24, |rng| {
         let m = rng.gen_range(1..400);
         let k = rng.gen_range(1..48);
         let n = rng.gen_range(1..64);
         let a = Dense::random(m, k, rng);
         let b = Dense::random(n, k, rng);
-        let expected = bits(&a.matmul_bt(&b));
-        for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
-            assert_eq!(
-                bits(&a.matmul_bt_pool(&b, &pool)),
-                expected,
-                "matmul_bt at {t} threads"
-            );
+        let expected = bits(&reference().matmul_bt(&a, &b));
+        for ctx in &ctxs {
+            let mut out = Dense::zeros(m, n);
+            ctx.matmul_bt_into(&a, &b, &mut out);
+            assert_eq!(bits(&out), expected, "matmul_bt, {}", label(ctx));
         }
     });
 }
 
 #[test]
 fn matmul_at_bitwise_equal_across_thread_counts() {
+    let ctxs = contexts();
     qc::run(24, |rng| {
         let n = rng.gen_range(1..400);
         let m = rng.gen_range(1..64);
         let k = rng.gen_range(1..48);
         let a = Dense::random(n, m, rng);
         let b = Dense::random(n, k, rng);
-        let expected = bits(&a.matmul_at(&b));
-        for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
-            assert_eq!(
-                bits(&a.matmul_at_pool(&b, &pool)),
-                expected,
-                "matmul_at at {t} threads"
-            );
+        let expected = bits(&reference().matmul_at(&a, &b));
+        for ctx in &ctxs {
+            let mut out = Dense::zeros(m, k);
+            ctx.matmul_at_into(&a, &b, &mut out);
+            assert_eq!(bits(&out), expected, "matmul_at, {}", label(ctx));
         }
     });
 }
 
 #[test]
 fn map_bitwise_equal_across_thread_counts() {
+    let ctxs = contexts();
     qc::run(16, |rng| {
         let m = rng.gen_range(1..500);
         let n = rng.gen_range(1..64);
         let a = Dense::random(m, n, rng);
         let f = |v: f32| (v - 0.5).max(0.0);
-        let expected = bits(&a.map(f));
-        for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
-            assert_eq!(bits(&a.map_pool(&pool, f)), expected, "map at {t} threads");
-            let mut inplace = a.clone();
-            inplace.map_inplace_pool(&pool, f);
-            assert_eq!(bits(&inplace), expected, "map_inplace at {t} threads");
+        let mut expected = Dense::zeros(m, n);
+        reference().map_into(&a, &mut expected, f);
+        let mut serial = a.clone();
+        serial.map_inplace(f);
+        assert_eq!(bits(&serial), bits(&expected), "map_inplace");
+        for ctx in &ctxs {
+            let mut out = Dense::zeros(m, n);
+            ctx.map_into(&a, &mut out, f);
+            assert_eq!(bits(&out), bits(&expected), "map, {}", label(ctx));
         }
     });
 }
@@ -150,9 +167,8 @@ fn rows_far_exceeding_chunk_count() {
     let mut rng = StdRng::seed_from_u64(42);
     let a = random_csr(&mut rng, 20_000, 500);
     let h = Dense::random(500, 16, &mut rng);
-    let expected = bits(&a.spmm(&h));
-    for t in THREAD_COUNTS {
-        let pool = Pool::new(t);
-        assert_eq!(bits(&a.spmm_pool(&h, &pool)), expected);
+    let expected = bits(&reference().spmm(&a, &h));
+    for ctx in contexts() {
+        assert_eq!(bits(&ctx.spmm(&a, &h)), expected, "{}", label(&ctx));
     }
 }

@@ -4,7 +4,7 @@
 //! patterns via the seeded `pargcn_util::qc` runner (failures print the
 //! case seed; replay with `PARGCN_QC_SEED=<seed>`).
 
-use pargcn_matrix::{gather, Csr, Dense};
+use pargcn_matrix::{gather, ComputeCtx, Csr, Dense};
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, StdRng};
 
@@ -34,8 +34,9 @@ fn spmm_matches_densified_multiply() {
     qc::check(|rng| {
         let a = csr(rng, 8, 6);
         let h = dense(rng, 6, 5);
-        let sparse = a.spmm(&h);
-        let densified = a.to_dense().matmul(&h);
+        let ctx = ComputeCtx::serial();
+        let sparse = ctx.spmm(&a, &h);
+        let densified = ctx.matmul(&a.to_dense(), &h);
         assert!(sparse.approx_eq(&densified, 1e-4));
     });
 }
@@ -48,9 +49,10 @@ fn spmm_is_linear_in_h() {
         let h2 = dense(rng, 6, 4);
         let mut sum = h1.clone();
         sum.add_assign(&h2);
-        let lhs = a.spmm(&sum);
-        let mut rhs = a.spmm(&h1);
-        rhs.add_assign(&a.spmm(&h2));
+        let ctx = ComputeCtx::serial();
+        let lhs = ctx.spmm(&a, &sum);
+        let mut rhs = ctx.spmm(&a, &h1);
+        rhs.add_assign(&ctx.spmm(&a, &h2));
         assert!(lhs.approx_eq(&rhs, 1e-3));
     });
 }
@@ -64,13 +66,14 @@ fn spmm_row_split_recomposes() {
         let a = csr(rng, 8, 8);
         let h = dense(rng, 8, 3);
         let split = rng.gen_range(1usize..7);
-        let full = a.spmm(&h);
+        let ctx = ComputeCtx::serial();
+        let full = ctx.spmm(&a, &h);
         let top: Vec<u32> = (0..split as u32).collect();
         let bot: Vec<u32> = (split as u32..8).collect();
         let a_top = a.select_rows(&top);
         let a_bot = a.select_rows(&bot);
-        let z_top = a_top.spmm(&h);
-        let z_bot = a_bot.spmm(&h);
+        let z_top = ctx.spmm(&a_top, &h);
+        let z_bot = ctx.spmm(&a_bot, &h);
         for (k, &i) in top.iter().enumerate() {
             assert_eq!(z_top.row(k), full.row(i as usize));
         }
@@ -119,8 +122,9 @@ fn matmul_associativity_with_tolerance() {
         let a = dense(rng, 4, 4);
         let b = dense(rng, 4, 4);
         let c = dense(rng, 4, 4);
-        let lhs = a.matmul(&b).matmul(&c);
-        let rhs = a.matmul(&b.matmul(&c));
+        let ctx = ComputeCtx::serial();
+        let lhs = ctx.matmul(&ctx.matmul(&a, &b), &c);
+        let rhs = ctx.matmul(&a, &ctx.matmul(&b, &c));
         assert!(lhs.approx_eq(&rhs, 1e-2));
     });
 }

@@ -24,11 +24,9 @@ run env PARGCN_THREADS=4 cargo test -q --offline --locked
 # Kernel-engine parity: the bitwise-determinism suites and the
 # allocation contract must hold under both compute engines
 # (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM; every result is
-# bitwise engine-independent — DESIGN.md §10).
+# bitwise engine-independent — DESIGN.md §10). The pargcn-matrix suites
+# pin both engines themselves, so only pargcn-core's run here.
 for kernel in naive blocked; do
-    run env PARGCN_KERNEL=$kernel \
-        cargo test -q --offline --locked -p pargcn-matrix \
-        --test determinism_threads --test kernel_engine
     run env PARGCN_KERNEL=$kernel \
         cargo test -q --offline --locked -p pargcn-core \
         --test determinism_threads --test no_alloc_steady_state \
