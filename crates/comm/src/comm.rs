@@ -8,20 +8,28 @@
 //!   communication with local computation" behaviour of Algorithm 1 line 6);
 //! * [`RankCtx::recv`] blocks until a message with matching `(source, tag)`
 //!   arrives, buffering non-matching arrivals (MPI tag matching);
+//!   [`RankCtx::recv_any`] and [`RankCtx::try_recv_any`] match the tag
+//!   from any source, so a receive set drains in completion order
+//!   (Algorithm 1 lines 7–9);
 //! * channel FIFO order per sender gives MPI's non-overtaking guarantee;
-//! * [`RankCtx::allreduce_sum`] and [`RankCtx::broadcast`] run over a
-//!   binomial tree — O(log p) rounds — with a *fixed* combine order
-//!   (children folded in ascending rank order), so results are bitwise
-//!   deterministic run to run.
+//! * [`RankCtx::allreduce_sum`], [`RankCtx::broadcast`] and
+//!   [`RankCtx::barrier`] run over one binomial tree — O(log p) rounds —
+//!   with a *fixed* combine order (children folded in ascending rank
+//!   order), so results are bitwise deterministic run to run.
+//!
+//! Every receive, point-to-point or collective hop, goes through one
+//! matcher, so every blocking wait on a rank thread is a mailbox receive.
+//! That is what makes failure loud: a rank whose step panics posts a
+//! poison message to every peer, and a peer's matcher that meets it
+//! unwinds instead of waiting forever (see [`CommSession`]).
 //!
 //! # Buffer recycling
 //!
 //! Message payloads are pooled like MPI persistent requests: a sender
 //! [`acquire`](RankCtx::acquire)s a buffer keyed by destination, and the
 //! receiver hands the payload back over a dedicated *return channel* with
-//! [`release`](RankCtx::release) (or implicitly via
-//! [`recv_into`](RankCtx::recv_into)), where it rejoins the sender's
-//! free list. After the pools are warm, no message round-trip — p2p or
+//! [`release`](RankCtx::release), where it rejoins the sender's free
+//! list. After the pools are warm, no message round-trip — p2p or
 //! collective — touches the heap; `CommCounters::comm_path_allocs`
 //! measures exactly that (see `pargcn_util::allocmeter`) and the
 //! steady-state tests assert it is zero.
@@ -32,7 +40,7 @@ use pargcn_util::allocmeter;
 use pargcn_util::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -40,7 +48,8 @@ use std::time::Instant;
 pub const RESERVED_TAG_BASE: u32 = u32::MAX - 16;
 const TAG_ALLREDUCE: u32 = RESERVED_TAG_BASE;
 const TAG_BROADCAST: u32 = RESERVED_TAG_BASE + 1;
-const TAG_GATHER: u32 = RESERVED_TAG_BASE + 2;
+/// Posted by a rank whose step panicked; matches every receive.
+const TAG_POISON: u32 = RESERVED_TAG_BASE + 2;
 
 struct Message {
     from: u32,
@@ -56,11 +65,13 @@ struct ReturnMsg {
     buf: Vec<f32>,
 }
 
-/// Lowest set bit of `v` (the binomial-tree round in which virtual rank
-/// `v` talks to its parent); `0` maps to `0`.
-#[inline]
-fn lowbit(v: usize) -> usize {
-    v & v.wrapping_neg()
+/// Unwind payload of a rank stopped by a failed peer (named here): it met
+/// the peer's poison message, or sent to the peer after it exited.
+/// [`CommSession::collect_step`] rethrows the peer's own panic instead.
+struct PeerFailed(usize);
+
+fn peer_failed(rank: usize) -> ! {
+    resume_unwind(Box::new(PeerFailed(rank)))
 }
 
 /// Spawns `p` rank threads and runs `f` on each.
@@ -68,7 +79,9 @@ pub struct Communicator;
 
 impl Communicator {
     /// Runs `f(rank_ctx)` on `p` threads, returning per-rank results in rank
-    /// order. Panics in any rank propagate.
+    /// order. A panic in any rank fails the whole run: peers blocked on
+    /// the failed rank unwind instead of hanging, and the original panic
+    /// is rethrown here.
     ///
     /// This is the one-shot convenience wrapper around [`CommSession`]:
     /// spawn the ranks, run a single step, join. Callers issuing many
@@ -108,18 +121,21 @@ struct StepDone {
 /// stream of mini-batch steps pays the thread-spawn, channel-build and
 /// pool-warmup cost once instead of per batch.
 ///
-/// Panic semantics match [`Communicator::run`]: a panicking rank
-/// acknowledges its step with the payload (rethrown on the submitter),
-/// then exits, dropping its endpoints — peers blocked on it observe
-/// "peer rank hung up", exactly as if the scoped thread had died. The
-/// session is poisoned afterwards; further steps are refused.
+/// A failing rank fails the step, it never hangs it: a rank whose step
+/// panics posts a poison message to every peer, acknowledges the step
+/// with its panic payload and exits. A peer that meets the poison in any
+/// receive or collective — or sends to the exited rank — unwinds too.
+/// [`collect_step`](Self::collect_step) rethrows the original panic once
+/// every rank has acknowledged, and the session is poisoned: further
+/// steps are refused.
 pub struct CommSession {
     p: usize,
     jobs: Vec<Sender<ErasedStep>>,
     done_rx: Receiver<StepDone>,
     handles: Vec<JoinHandle<()>>,
     in_flight: bool,
-    poisoned: bool,
+    /// The rank whose panic poisoned the session, if one did.
+    failed_rank: Option<usize>,
 }
 
 impl CommSession {
@@ -138,7 +154,6 @@ impl CommSession {
             returns.push(s);
             return_rxs.push(Some(r));
         }
-        let barrier = Arc::new(Barrier::new(p));
         let (done_tx, done_rx) = unbounded();
         let mut jobs = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
@@ -149,7 +164,6 @@ impl CommSession {
             let return_rx = ret_slot.take().expect("return receiver taken once");
             let senders = senders.clone();
             let returns = returns.clone();
-            let barrier = Arc::clone(&barrier);
             let done_tx = done_tx.clone();
             let (job_tx, job_rx) = unbounded::<ErasedStep>();
             jobs.push(job_tx);
@@ -165,26 +179,26 @@ impl CommSession {
                         return_rx,
                         pool: BufPool::new(p),
                         pending: Vec::new(),
-                        barrier,
                         counters: CommCounters::default(),
                     };
                     while let Ok(step) = job_rx.recv() {
                         // SAFETY: the submitter blocks in `collect_step`
-                        // until this rank's `done` message below, so the
+                        // until this rank's acknowledgement below, so the
                         // closure (and everything it borrows) is alive.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| unsafe { (*step.0)(&mut ctx) }));
-                        let failed = result.is_err();
-                        let _ = done_tx.send(StepDone {
-                            rank,
-                            panic: result.err(),
-                        });
-                        if failed {
-                            // Exit, dropping `ctx`: peers blocked on this
-                            // rank unblock with "peer rank hung up" — the
-                            // same observable behaviour a dying scoped
-                            // thread had under the one-shot runtime.
-                            break;
+                        match catch_unwind(AssertUnwindSafe(|| unsafe { (*step.0)(&mut ctx) })) {
+                            Ok(()) => {
+                                let _ = done_tx.send(StepDone { rank, panic: None });
+                            }
+                            Err(payload) => {
+                                // Wake every peer that may be waiting on
+                                // this rank, then exit (dropping `ctx`).
+                                ctx.poison_peers();
+                                let _ = done_tx.send(StepDone {
+                                    rank,
+                                    panic: Some(payload),
+                                });
+                                break;
+                            }
                         }
                     }
                 })
@@ -197,7 +211,7 @@ impl CommSession {
             done_rx,
             handles,
             in_flight: false,
-            poisoned: false,
+            failed_rank: None,
         }
     }
 
@@ -209,7 +223,8 @@ impl CommSession {
 
     /// Runs `f` on every rank — against the *persistent* per-rank state —
     /// and blocks until all ranks finish, returning results in rank order.
-    /// Panics in any rank propagate (and poison the session).
+    /// A rank panic fails the step on every rank, is rethrown here, and
+    /// poisons the session.
     pub fn run_step<F, R>(&mut self, f: F) -> Vec<R>
     where
         F: Fn(&mut RankCtx) -> R + Sync,
@@ -240,10 +255,9 @@ impl CommSession {
     /// unmodified until `collect_step` returns, and at most one step may
     /// be in flight at a time (enforced by assertion).
     pub unsafe fn submit_step(&mut self, f: &(dyn Fn(&mut RankCtx) + Sync)) {
-        assert!(
-            !self.poisoned,
-            "comm session poisoned by an earlier rank panic"
-        );
+        if let Some(rank) = self.failed_rank {
+            panic!("comm session poisoned by an earlier panic on rank {rank}");
+        }
         assert!(!self.in_flight, "a step is already in flight");
         // Erase the borrow's lifetime into the raw pointer; `collect_step`
         // blocks until every rank is done with it.
@@ -259,27 +273,33 @@ impl CommSession {
         self.in_flight = true;
     }
 
-    /// Blocks until every rank has finished the in-flight step. Rethrows
-    /// the first rank panic (poisoning the session) after all
-    /// acknowledgements arrive.
+    /// Blocks until every rank has finished the in-flight step. If any
+    /// rank panicked, poisons the session and rethrows the original panic
+    /// — never the [`PeerFailed`] of a peer it stopped.
     pub fn collect_step(&mut self) {
         assert!(self.in_flight, "no step in flight");
-        let mut first_panic: Option<Box<dyn Any + Send>> = None;
+        let mut failure: Option<Box<dyn Any + Send>> = None;
         for _ in 0..self.p {
             let done = self
                 .done_rx
                 .recv()
                 .expect("rank thread died without acknowledging its step");
-            if let Some(payload) = done.panic {
-                self.poisoned = true;
-                let _ = done.rank;
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
+            let Some(payload) = done.panic else { continue };
+            match payload.downcast_ref::<PeerFailed>() {
+                // An echo of the failure: note the rank it names, and keep
+                // waiting for that rank's own panic.
+                Some(&PeerFailed(peer)) => {
+                    self.failed_rank.get_or_insert(peer);
                 }
+                None if failure.is_none() => {
+                    self.failed_rank = Some(done.rank);
+                    failure = Some(payload);
+                }
+                None => {}
             }
         }
         self.in_flight = false;
-        if let Some(payload) = first_panic {
+        if let Some(payload) = failure {
             resume_unwind(payload);
         }
     }
@@ -310,9 +330,9 @@ pub struct RankCtx {
     returns: Vec<Sender<ReturnMsg>>,
     return_rx: Receiver<ReturnMsg>,
     pool: BufPool,
-    /// Arrived messages not yet claimed by a matching `recv`.
+    /// Arrived messages not yet claimed by a matching receive, in arrival
+    /// order.
     pending: Vec<Message>,
-    barrier: Arc<Barrier>,
     counters: CommCounters,
 }
 
@@ -359,6 +379,22 @@ impl RankCtx {
         self.counters.compute_flops += flops;
     }
 
+    /// Runs `body`, charging the heap allocations it makes to
+    /// `comm_path_allocs` and, for a `blocking` call, its wall time to
+    /// `comm_seconds`. Every public message-path method is this over a
+    /// private body; collectives call the bodies, so nothing is counted
+    /// twice.
+    fn metered<T>(&mut self, blocking: bool, body: impl FnOnce(&mut Self) -> T) -> T {
+        let start = blocking.then(Instant::now);
+        let a0 = allocmeter::current();
+        let out = body(self);
+        self.counters.comm_path_allocs += allocmeter::current() - a0;
+        if let Some(start) = start {
+            self.counters.comm_seconds += start.elapsed().as_secs_f64();
+        }
+        out
+    }
+
     /// Moves every buffer waiting on the return channel back into the pool.
     fn drain_returns(&mut self) {
         while let Ok(r) = self.return_rx.try_recv() {
@@ -369,20 +405,27 @@ impl RankCtx {
     /// Takes a cleared payload buffer with capacity for `len` floats for a
     /// message to rank `to`, recycling returned buffers when possible.
     /// Pair with [`isend`](Self::isend); the receiver sends the buffer
-    /// back via [`release`](Self::release) / [`recv_into`](Self::recv_into).
+    /// back via [`release`](Self::release).
     pub fn acquire(&mut self, to: usize, len: usize) -> Vec<f32> {
-        let a0 = allocmeter::current();
-        self.drain_returns();
-        let buf = self.pool.acquire(to, len);
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        buf
+        self.metered(false, |s| {
+            s.drain_returns();
+            s.pool.acquire(to, len)
+        })
     }
 
     /// Hands a received payload buffer back to the rank that sent it
     /// (`from`), where it rejoins that rank's free list. Self-returns
-    /// (e.g. a root's own gather contribution) go straight to the pool.
+    /// (a buffer acquired but never sent) go straight to the pool.
     pub fn release(&mut self, from: usize, buf: Vec<f32>) {
-        let a0 = allocmeter::current();
+        self.metered(false, |s| s.recycle(from, buf));
+    }
+
+    /// [`release`](Self::release)'s body. A zero-capacity buffer (an empty
+    /// collective hop) owns no memory, so there is nothing to hand back.
+    fn recycle(&mut self, from: usize, buf: Vec<f32>) {
+        if buf.capacity() == 0 {
+            return;
+        }
         if from == self.rank {
             self.pool.put(from, buf);
         } else {
@@ -393,7 +436,6 @@ impl RankCtx {
                 buf,
             });
         }
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
     }
 
     /// Sizes the pool so steady-state `acquire`s for `to` never allocate:
@@ -427,29 +469,38 @@ impl RankCtx {
     /// allreduce tree): `count` buffers fitting `len` per neighbour.
     pub fn ensure_collectives(&mut self, count: usize, len: usize) {
         self.drain_returns();
-        self.for_collective_neighbours(|pool, peer| pool.ensure(peer, count, len));
+        let (parent, children) = self.tree(0);
+        for peer in parent.into_iter().chain(children) {
+            self.pool.ensure(peer, count, len);
+        }
     }
 
-    fn for_collective_neighbours(&mut self, mut f: impl FnMut(&mut BufPool, usize)) {
-        if self.p == 1 {
-            return;
-        }
-        if self.rank != 0 {
-            f(&mut self.pool, self.rank - lowbit(self.rank));
-        }
-        let low = if self.rank == 0 {
-            self.p.next_power_of_two()
-        } else {
-            lowbit(self.rank)
-        };
-        let mut m = low >> 1;
-        while m > 0 {
-            let child = self.rank + m;
-            if child < self.p {
-                f(&mut self.pool, child);
-            }
-            m >>= 1;
-        }
+    /// This rank's neighbours in the binomial tree rooted at `root` — the
+    /// one tree every collective walks: its parent (`None` at the root)
+    /// and its children, smallest subtree first. In virtual ranks
+    /// `v = rank − root (mod p)`, the parent of `v` is `v − lowbit(v)` and
+    /// its children are `v + 2^j` for every `2^j < lowbit(v)` (every
+    /// `2^j < p` at the root). Reductions fold the children in this order;
+    /// fan-outs walk it reversed, biggest subtree first (the log-depth
+    /// schedule).
+    fn tree(
+        &self,
+        root: usize,
+    ) -> (
+        Option<usize>,
+        impl DoubleEndedIterator<Item = usize> + Clone,
+    ) {
+        let p = self.p;
+        let v = (self.rank + p - root) % p;
+        let low = v & v.wrapping_neg();
+        let span = if v == 0 { p.next_power_of_two() } else { low };
+        let real = move |u: usize| (u + root) % p;
+        let parent = (v != 0).then(|| real(v - low));
+        let children = (0..span.trailing_zeros())
+            .map(move |j| v + (1 << j))
+            .filter(move |&c| c < p)
+            .map(real);
+        (parent, children)
     }
 
     /// Non-blocking point-to-point send. Returns immediately; the payload
@@ -466,190 +517,141 @@ impl RankCtx {
             tag < RESERVED_TAG_BASE,
             "tag {tag} is reserved for collectives"
         );
-        let a0 = allocmeter::current();
-        self.counters.sent_messages += 1;
-        self.counters.sent_bytes += (payload.len() * 4) as u64;
-        self.senders[to]
-            .send(Message {
-                from: self.rank as u32,
-                tag,
-                payload,
-            })
-            .expect("peer rank hung up");
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-    }
-
-    /// Blocking receive of the next message with matching source and tag.
-    /// The returned payload is owned by the caller; hand it back with
-    /// [`release`](Self::release) (or use [`recv_into`](Self::recv_into))
-    /// to keep the sender's pool warm.
-    pub fn recv(&mut self, from: usize, tag: u32) -> Vec<f32> {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let payload = self.recv_inner(from as u32, tag);
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        self.counters.recv_messages += 1;
-        self.counters.recv_bytes += (payload.len() * 4) as u64;
-        payload
-    }
-
-    /// Blocking receive that copies the payload into `buf` (cleared
-    /// first, capacity reused) and recycles the payload buffer back to
-    /// the sender's pool. With a warm `buf` this allocates nothing.
-    pub fn recv_into(&mut self, from: usize, tag: u32, buf: &mut Vec<f32>) {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let payload = self.recv_inner(from as u32, tag);
-        self.counters.recv_messages += 1;
-        self.counters.recv_bytes += (payload.len() * 4) as u64;
-        buf.clear();
-        buf.extend_from_slice(&payload);
-        self.release_unmetered(from, payload);
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-    }
-
-    /// Non-blocking [`recv_into`](Self::recv_into): returns `false` (and
-    /// leaves `buf` untouched) if no matching message has arrived yet.
-    pub fn try_recv_into(&mut self, from: usize, tag: u32, buf: &mut Vec<f32>) -> bool {
-        let a0 = allocmeter::current();
-        let got = match self.try_recv_match(|m| m.from == from as u32 && m.tag == tag) {
-            Some(m) => {
-                self.counters.recv_messages += 1;
-                self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-                buf.clear();
-                buf.extend_from_slice(&m.payload);
-                self.release_unmetered(from, m.payload);
-                true
-            }
-            None => false,
-        };
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        got
-    }
-
-    /// Non-blocking probe-and-receive: returns a matching message if one has
-    /// already arrived. Used by the trainer to drain whichever remote block
-    /// lands first (Algorithm 1 lines 7–9 iterate the receive set in any
-    /// completion order).
-    pub fn try_recv(&mut self, from: usize, tag: u32) -> Option<Vec<f32>> {
-        let a0 = allocmeter::current();
-        let got = self
-            .try_recv_match(|m| m.from == from as u32 && m.tag == tag)
-            .map(|m| {
-                self.counters.recv_messages += 1;
-                self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-                m.payload
-            });
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        got
-    }
-
-    /// Non-blocking receive of the next message with tag `tag` from *any*
-    /// source, returning `(source, payload)`. One mailbox scan serves a
-    /// whole receive set — the trainer's exchange drains with this instead
-    /// of probing every peer individually.
-    pub fn try_recv_any(&mut self, tag: u32) -> Option<(usize, Vec<f32>)> {
-        let a0 = allocmeter::current();
-        let got = self.try_recv_match(|m| m.tag == tag).map(|m| {
-            self.counters.recv_messages += 1;
-            self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-            (m.from as usize, m.payload)
+        self.metered(false, |s| {
+            s.counters.sent_messages += 1;
+            s.counters.sent_bytes += (payload.len() * 4) as u64;
+            s.post(to, tag, payload);
         });
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        got
     }
 
-    /// Blocking receive of the next message with tag `tag` from any
-    /// source. The blocking complement of [`try_recv_any`](Self::try_recv_any).
-    pub fn recv_any(&mut self, tag: u32) -> (usize, Vec<f32>) {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let m = if let Some(pos) = self.pending.iter().position(|m| m.tag == tag) {
+    /// Pool-backed collective hop: copies `data` into a recycled buffer
+    /// bound for `to`, so the collectives' steady state is allocation-free
+    /// too. An empty hop (a barrier's) needs no buffer at all.
+    fn send_pooled(&mut self, to: usize, tag: u32, data: &[f32]) {
+        let mut payload = if data.is_empty() {
+            Vec::new()
+        } else {
+            self.drain_returns();
+            self.pool.acquire(to, data.len())
+        };
+        payload.extend_from_slice(data);
+        self.counters.collective_messages += 1;
+        self.counters.collective_bytes += (data.len() * 4) as u64;
+        self.post(to, tag, payload);
+    }
+
+    /// The one send: hands `payload` to `to`'s mailbox. A peer that has
+    /// exited failed its step, so sending to it unwinds this rank.
+    fn post(&self, to: usize, tag: u32, payload: Vec<f32>) {
+        let m = Message {
+            from: self.rank as u32,
+            tag,
+            payload,
+        };
+        if self.senders[to].send(m).is_err() {
+            peer_failed(to);
+        }
+    }
+
+    /// Posts an empty poison message to every peer, so each one unwinds at
+    /// its next receive instead of waiting on this failed rank forever.
+    fn poison_peers(&self) {
+        for (peer, sender) in self.senders.iter().enumerate() {
+            if peer != self.rank {
+                let _ = sender.send(Message {
+                    from: self.rank as u32,
+                    tag: TAG_POISON,
+                    payload: Vec::new(),
+                });
+            }
+        }
+    }
+
+    /// The one matcher: claims the first message with tag `tag` from
+    /// `from` (any source when `None`). Arrivals parked by earlier calls
+    /// are scanned first, in arrival order; then the mailbox is pulled,
+    /// parking whatever does not match. Without `block`, returns `None`
+    /// once the mailbox is empty. A poison message matches every request
+    /// and unwinds this rank with [`PeerFailed`].
+    fn take(&mut self, from: Option<usize>, tag: u32, block: bool) -> Option<Message> {
+        let matches = |m: &Message| m.tag == tag && from.is_none_or(|f| m.from as usize == f);
+        if let Some(pos) = self.pending.iter().position(matches) {
             // `remove`, not `swap_remove`: `pending` is kept in arrival
             // order so two same-(source, tag) messages are claimed in the
             // order they were sent (the MPI non-overtaking guarantee).
-            self.pending.remove(pos)
-        } else {
-            loop {
-                let m = self.receiver.recv().expect("peer rank hung up");
-                if m.tag == tag {
-                    break m;
-                }
-                self.pending.push(m);
-            }
-        };
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        self.counters.recv_messages += 1;
-        self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-        (m.from as usize, m.payload)
-    }
-
-    /// First pending or already-delivered message satisfying `matches`.
-    fn try_recv_match(&mut self, matches: impl Fn(&Message) -> bool) -> Option<Message> {
-        if let Some(pos) = self.pending.iter().position(&matches) {
-            // Order-preserving removal — see `recv_any`.
             return Some(self.pending.remove(pos));
         }
-        while let Ok(m) = self.receiver.try_recv() {
+        loop {
+            let m = if block {
+                // This rank holds a sender to its own mailbox, so the
+                // channel never disconnects under it.
+                self.receiver.recv().expect("own mailbox disconnected")
+            } else {
+                self.receiver.try_recv().ok()?
+            };
+            if m.tag == TAG_POISON {
+                peer_failed(m.from as usize);
+            }
             if matches(&m) {
                 return Some(m);
             }
             self.pending.push(m);
         }
-        None
     }
 
-    fn recv_inner(&mut self, from: u32, tag: u32) -> Vec<f32> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|m| m.from == from && m.tag == tag)
-        {
-            // Order-preserving removal — see `recv_any`.
-            return self.pending.remove(pos).payload;
-        }
-        loop {
-            let m = self.receiver.recv().expect("peer rank hung up");
-            if m.from == from && m.tag == tag {
-                return m.payload;
-            }
-            self.pending.push(m);
-        }
+    /// [`take`](Self::take) that waits for the match.
+    fn wait_for(&mut self, from: Option<usize>, tag: u32) -> Message {
+        self.take(from, tag, true)
+            .expect("a blocking take always yields a message")
     }
 
-    /// [`release`](Self::release) without the alloc metering (for use
-    /// inside already-metered spans).
-    fn release_unmetered(&mut self, from: usize, buf: Vec<f32>) {
-        if from == self.rank {
-            self.pool.put(from, buf);
-        } else {
-            let _ = self.returns[from].send(ReturnMsg {
-                from: self.rank as u32,
-                buf,
-            });
-        }
+    /// Counts a received point-to-point message and hands it out as
+    /// `(source, payload)`.
+    fn delivered(&mut self, m: Message) -> (usize, Vec<f32>) {
+        self.counters.recv_messages += 1;
+        self.counters.recv_bytes += (m.payload.len() * 4) as u64;
+        (m.from as usize, m.payload)
     }
 
-    /// Pool-backed internal send: copies `data` into a recycled buffer
-    /// bound for `to`. Collectives route every hop through this, so their
-    /// steady state is allocation-free too.
-    fn send_pooled(&mut self, to: usize, tag: u32, data: &[f32]) {
-        self.drain_returns();
-        let mut payload = self.pool.acquire(to, data.len());
-        payload.extend_from_slice(data);
-        self.send_internal(to, tag, payload);
-        self.counters.collective_messages += 1;
-        self.counters.collective_bytes += (data.len() * 4) as u64;
+    /// Blocking receive of the next message with matching source and tag.
+    /// The returned payload is owned by the caller; hand it back with
+    /// [`release`](Self::release) to keep the sender's pool warm.
+    pub fn recv(&mut self, from: usize, tag: u32) -> Vec<f32> {
+        self.metered(true, |s| {
+            let m = s.wait_for(Some(from), tag);
+            s.delivered(m).1
+        })
     }
 
-    /// Synchronizes all ranks.
+    /// Blocking receive of the next message with tag `tag` from any
+    /// source, returning `(source, payload)`. The blocking complement of
+    /// [`try_recv_any`](Self::try_recv_any).
+    pub fn recv_any(&mut self, tag: u32) -> (usize, Vec<f32>) {
+        self.metered(true, |s| {
+            let m = s.wait_for(None, tag);
+            s.delivered(m)
+        })
+    }
+
+    /// Non-blocking receive of the next message with tag `tag` from *any*
+    /// source, returning `(source, payload)` if one has already arrived.
+    /// One mailbox scan serves a whole receive set — the trainer's
+    /// exchange drains whichever remote block lands first with this
+    /// (Algorithm 1 lines 7–9 iterate the receive set in any completion
+    /// order) instead of probing every peer individually.
+    pub fn try_recv_any(&mut self, tag: u32) -> Option<(usize, Vec<f32>)> {
+        self.metered(false, |s| {
+            let m = s.take(None, tag, false)?;
+            Some(s.delivered(m))
+        })
+    }
+
+    /// Synchronizes all ranks: an empty-buffer
+    /// [`allreduce_sum`](Self::allreduce_sum), so its tree hops count as
+    /// zero-byte collective messages and a failed peer unwinds it like any
+    /// other receive.
     pub fn barrier(&mut self) {
-        let start = Instant::now();
-        self.barrier.wait();
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
+        self.allreduce_sum(&mut []);
     }
 
     /// Allreduce-sum over `buf` (Algorithm 2 line 13: `ΔW` aggregation).
@@ -663,41 +665,26 @@ impl RankCtx {
     /// flat rank-order sum: 8-rank example, rank 0 folds 1, 2 (which
     /// already folded 3), 4 (which folded 5 and 6+7).
     pub fn allreduce_sum(&mut self, buf: &mut [f32]) {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        if self.p > 1 {
-            // Reduce toward rank 0: in round `mask = 2^j`, ranks whose j
-            // low bits are clear either fold child `rank + mask` or send
-            // up to `rank − mask` and leave the loop.
-            let mut mask = 1usize;
-            while mask < self.p {
-                if self.rank & mask != 0 {
-                    let parent = self.rank - mask;
-                    self.send_pooled(parent, TAG_ALLREDUCE, buf);
-                    break;
+        self.metered(true, |s| {
+            let (parent, children) = s.tree(0);
+            for child in children.clone() {
+                let contrib = s.wait_for(Some(child), TAG_ALLREDUCE).payload;
+                assert_eq!(contrib.len(), buf.len(), "allreduce length mismatch");
+                for (b, &c) in buf.iter_mut().zip(&contrib) {
+                    *b += c;
                 }
-                let child = self.rank + mask;
-                if child < self.p {
-                    let contrib = self.recv_inner(child as u32, TAG_ALLREDUCE);
-                    assert_eq!(contrib.len(), buf.len(), "allreduce length mismatch");
-                    for (b, &c) in buf.iter_mut().zip(&contrib) {
-                        *b += c;
-                    }
-                    self.release_unmetered(child, contrib);
-                }
-                mask <<= 1;
+                s.recycle(child, contrib);
             }
-            // Broadcast the result back down the same tree.
-            if self.rank != 0 {
-                let parent = self.rank - lowbit(self.rank);
-                let res = self.recv_inner(parent as u32, TAG_ALLREDUCE);
+            if let Some(parent) = parent {
+                s.send_pooled(parent, TAG_ALLREDUCE, buf);
+                let res = s.wait_for(Some(parent), TAG_ALLREDUCE).payload;
                 buf.copy_from_slice(&res);
-                self.release_unmetered(parent, res);
+                s.recycle(parent, res);
             }
-            self.tree_fanout(0, TAG_ALLREDUCE, buf);
-        }
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
+            for child in children.rev() {
+                s.send_pooled(child, TAG_ALLREDUCE, buf);
+            }
+        });
     }
 
     /// Broadcast from `root`: on the root `buf` is the source, elsewhere it
@@ -705,81 +692,18 @@ impl RankCtx {
     /// allocation). Binomial tree, O(log p) rounds; used by the CAGNET
     /// baseline's turn-wise broadcasts.
     pub fn broadcast(&mut self, root: usize, buf: &mut Vec<f32>) {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        if self.p > 1 {
-            let vrank = (self.rank + self.p - root) % self.p;
-            if vrank != 0 {
-                let parent = (vrank - lowbit(vrank) + root) % self.p;
-                let res = self.recv_inner(parent as u32, TAG_BROADCAST);
+        self.metered(true, |s| {
+            let (parent, children) = s.tree(root);
+            if let Some(parent) = parent {
+                let res = s.wait_for(Some(parent), TAG_BROADCAST).payload;
                 buf.clear();
                 buf.extend_from_slice(&res);
-                self.release_unmetered(parent, res);
+                s.recycle(parent, res);
             }
-            self.tree_fanout(root, TAG_BROADCAST, buf);
-        }
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-    }
-
-    /// Sends `data` to this rank's children in the binomial tree rooted at
-    /// `root`, biggest subtree first (the log-depth schedule).
-    fn tree_fanout(&mut self, root: usize, tag: u32, data: &[f32]) {
-        let vrank = (self.rank + self.p - root) % self.p;
-        let low = if vrank == 0 {
-            self.p.next_power_of_two()
-        } else {
-            lowbit(vrank)
-        };
-        let mut m = low >> 1;
-        while m > 0 {
-            let child = vrank + m;
-            if child < self.p {
-                self.send_pooled((child + root) % self.p, tag, data);
+            for child in children.rev() {
+                s.send_pooled(child, TAG_BROADCAST, buf);
             }
-            m >>= 1;
-        }
-    }
-
-    /// Gathers each rank's buffer to `root`, returning `Some(vec-of-bufs)`
-    /// in rank order at the root and `None` elsewhere. Payload buffers
-    /// become the result, so this path allocates by design (it is used
-    /// once per run, not per epoch); messages are counted at the sender
-    /// like every other collective.
-    pub fn gather(&mut self, root: usize, buf: Vec<f32>) -> Option<Vec<Vec<f32>>> {
-        let start = Instant::now();
-        let out = if self.rank == root {
-            let mut all: Vec<Vec<f32>> = Vec::with_capacity(self.p);
-            for from in 0..self.p {
-                if from == root {
-                    // Reuse the sentinel below to keep `all` in rank order
-                    // without cloning the root's own contribution.
-                    all.push(Vec::new());
-                } else {
-                    all.push(self.recv_inner(from as u32, TAG_GATHER));
-                }
-            }
-            all[root] = buf;
-            Some(all)
-        } else {
-            self.counters.collective_messages += 1;
-            self.counters.collective_bytes += (buf.len() * 4) as u64;
-            self.send_internal(root, TAG_GATHER, buf);
-            None
-        };
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        out
-    }
-
-    /// Internal send without the user-facing counter/tag policy.
-    fn send_internal(&mut self, to: usize, tag: u32, payload: Vec<f32>) {
-        self.senders[to]
-            .send(Message {
-                from: self.rank as u32,
-                tag,
-                payload,
-            })
-            .expect("peer rank hung up");
+        });
     }
 }
 
@@ -871,13 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_in_rank_order() {
-        let results = Communicator::run(3, |ctx| ctx.gather(0, vec![ctx.rank() as f32]));
-        assert_eq!(results[0], Some(vec![vec![0.0], vec![1.0], vec![2.0]]));
-        assert_eq!(results[1], None);
-    }
-
-    #[test]
     fn counters_track_p2p_volume() {
         let results = Communicator::run(2, |ctx| {
             if ctx.rank() == 0 {
@@ -928,7 +845,7 @@ mod tests {
         Communicator::run(2, |ctx| {
             if ctx.rank() == 1 {
                 // Nothing sent yet (rank 0 waits on a barrier first).
-                assert!(ctx.try_recv(0, 3).is_none());
+                assert!(ctx.try_recv_any(3).is_none());
             }
             ctx.barrier();
             if ctx.rank() == 0 {
@@ -936,7 +853,8 @@ mod tests {
             } else {
                 // Spin until it lands.
                 loop {
-                    if let Some(m) = ctx.try_recv(0, 3) {
+                    if let Some((from, m)) = ctx.try_recv_any(3) {
+                        assert_eq!(from, 0);
                         assert_eq!(m, vec![9.0]);
                         break;
                     }
@@ -989,26 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_into_reuses_caller_capacity() {
-        Communicator::run(2, |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..4u32 {
-                    ctx.isend(1, i, vec![i as f32; 8]);
-                }
-            } else {
-                let mut buf: Vec<f32> = Vec::with_capacity(8);
-                let cap_ptr = buf.as_ptr();
-                for i in 0..4u32 {
-                    ctx.recv_into(0, i, &mut buf);
-                    assert_eq!(buf, vec![i as f32; 8]);
-                }
-                // Same backing storage the whole way through.
-                assert_eq!(buf.as_ptr(), cap_ptr);
-            }
-        });
-    }
-
-    #[test]
     fn released_payloads_return_to_the_sender_pool() {
         Communicator::run(2, |ctx| {
             let other = 1 - ctx.rank();
@@ -1018,9 +916,9 @@ mod tests {
                 let mut payload = ctx.acquire(other, 16);
                 payload.extend_from_slice(&[round as f32; 16]);
                 ctx.isend(other, round, payload);
-                let mut scratch = Vec::new();
-                ctx.recv_into(other, round, &mut scratch);
-                assert_eq!(scratch, vec![round as f32; 16]);
+                let got = ctx.recv(other, round);
+                assert_eq!(got, vec![round as f32; 16]);
+                ctx.release(other, got);
                 ctx.barrier(); // make the return visible before next acquire
             }
             let stats = ctx.pool_stats();
@@ -1149,6 +1047,60 @@ mod tests {
             session.run_step(|ctx| ctx.rank());
         }));
         assert!(refused.is_err(), "poisoned session must refuse steps");
+    }
+
+    fn panic_message(payload: Box<dyn Any + Send>) -> String {
+        match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(payload) => *payload.downcast::<String>().expect("a panic message"),
+        }
+    }
+
+    /// Runs `step` as the first step of a fresh `p`-rank session on a
+    /// watchdog thread, then tries another step. Returns both panic
+    /// messages; fails instead if the first step hangs.
+    fn run_failing_step(p: usize, step: fn(&mut RankCtx)) -> (String, String) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut session = CommSession::new(p);
+            let failed = catch_unwind(AssertUnwindSafe(|| session.run_step(step)))
+                .expect_err("the rank panic must propagate");
+            let refused = catch_unwind(AssertUnwindSafe(|| session.run_step(|ctx| ctx.rank())))
+                .expect_err("a failed session must refuse further steps");
+            let _ = tx.send((panic_message(failed), panic_message(refused)));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a rank panic hung its peers")
+    }
+
+    #[test]
+    fn rank_panic_fails_a_peer_blocked_in_recv() {
+        let (failed, refused) = run_failing_step(2, |ctx| {
+            if ctx.rank() == 1 {
+                panic!("rank 1 exploded");
+            }
+            ctx.recv(1, 0);
+        });
+        assert_eq!(failed, "rank 1 exploded");
+        assert_eq!(
+            refused,
+            "comm session poisoned by an earlier panic on rank 1"
+        );
+    }
+
+    #[test]
+    fn rank_panic_fails_peers_in_an_allreduce() {
+        let (failed, refused) = run_failing_step(3, |ctx| {
+            if ctx.rank() == 2 {
+                panic!("rank 2 exploded");
+            }
+            ctx.allreduce_sum(&mut [1.0]);
+        });
+        assert_eq!(failed, "rank 2 exploded");
+        assert_eq!(
+            refused,
+            "comm session poisoned by an earlier panic on rank 2"
+        );
     }
 
     #[test]

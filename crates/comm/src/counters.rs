@@ -20,8 +20,9 @@ pub struct CommCounters {
     /// Bytes attributed to collectives.
     pub collective_bytes: u64,
     /// Heap allocations performed *inside* the runtime's hot-path methods
-    /// (`acquire`/`isend`/`recv*`/`release`/`allreduce_sum`/`broadcast`)
-    /// on this rank's thread. Only counts when
+    /// (`acquire`, `release`, `isend`, the receives `recv`/`recv_any`/
+    /// `try_recv_any`, and the collectives `allreduce_sum`/`broadcast`/
+    /// `barrier`) on this rank's thread. Only counts when
     /// `pargcn_util::allocmeter::CountingAllocator` is the installed
     /// global allocator (test binaries opt in); always 0 otherwise. The
     /// steady-state contract — warm pools make every message round-trip

@@ -4,9 +4,11 @@
 //! The paper runs on MPI over a 180-node InfiniBand cluster; here each MPI
 //! rank is an OS thread and messages travel over lock-free channels, with
 //! the same semantics the algorithm needs: ranks, tags, **non-blocking
-//! sends** ([`RankCtx::isend`]), blocking tag/source-matched receives
-//! ([`RankCtx::recv`]), and the collectives (binomial-tree allreduce and
-//! broadcast, barrier). Every byte and message is counted per rank exactly
+//! sends** ([`RankCtx::isend`]), a blocking tag/source-matched receive
+//! ([`RankCtx::recv`]), any-source receives that drain in completion
+//! order ([`RankCtx::recv_any`], [`RankCtx::try_recv_any`]), and the
+//! collectives (allreduce, broadcast and barrier over one binomial tree).
+//! A panicking rank fails its peers instead of hanging them. Every byte and message is counted per rank exactly
 //! as an MPI profiler would ([`counters::CommCounters`]). Payload buffers
 //! are recycled through per-rank pools ([`bufpool::BufPool`]) with return
 //! channels — MPI persistent requests in spirit — so the steady-state

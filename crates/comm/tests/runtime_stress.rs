@@ -269,17 +269,3 @@ fn tree_allreduce_is_bitwise_deterministic_across_runs() {
         assert_eq!(run(), first, "attempt {attempt}: allreduce not repeatable");
     }
 }
-
-/// Gather returns rank-ordered buffers of heterogeneous lengths.
-#[test]
-fn gather_heterogeneous_lengths() {
-    let results = Communicator::run(4, |ctx| {
-        let buf = vec![ctx.rank() as f32; ctx.rank()]; // rank r sends r floats
-        ctx.gather(2, buf)
-    });
-    let gathered = results[2].as_ref().unwrap();
-    for (r, b) in gathered.iter().enumerate() {
-        assert_eq!(b.len(), r);
-        assert!(b.iter().all(|&x| x == r as f32));
-    }
-}

@@ -128,7 +128,7 @@ pub fn spmm_exchange_into(
         }
         if !progressed {
             // Nothing in order yet: park until any planned payload lands
-            // rather than spinning over try_recv.
+            // rather than spinning over try_recv_any.
             let (from, payload) = ctx.recv_any(tag);
             let slot = scratch.slot_of(from);
             debug_assert!(scratch.arrived[slot].is_none(), "duplicate block payload");
