@@ -2,7 +2,7 @@
 //! HP (mini-PaToH), SHP, and comm-plan construction.
 
 use pargcn_core::CommPlan;
-use pargcn_graph::gen::{community, grid};
+use pargcn_graph::gen::{community, grid, social};
 use pargcn_partition::stochastic::Sampler;
 use pargcn_partition::{partition_rows, Method};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,9 +31,13 @@ fn bench_methods(c: &mut Criterion) {
 fn bench_graph_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("hp_by_family");
     group.sample_size(10);
+    // The dense, skewed social case is Reddit-like: every column net is
+    // larger than the coarsening's matching cap, so coarsening stalls and
+    // greedy growth and FM run on the whole hypergraph.
     for (name, g) in [
         ("road_8k", grid::road_network(8000, 2)),
         ("copurchase_8k", community::copurchase(8000, 6.0, false, 2)),
+        ("reddit_like_2k", social::generate(2000, 400.0, false, 2)),
     ] {
         let a = g.normalized_adjacency();
         group.bench_function(name, |b| {

@@ -119,25 +119,54 @@ impl Csr {
         indices: Vec<u32>,
         values: Vec<f32>,
     ) -> Self {
-        assert_eq!(indptr.len(), n_rows + 1, "indptr length");
-        assert_eq!(indices.len(), values.len(), "indices/values length");
+        let m = Self {
+            n_rows,
+            n_cols,
+            indptr,
+            indices,
+            values,
+        };
+        m.assert_valid();
+        m
+    }
+
+    /// [`Csr::from_parts`] for arrays this crate built with the CSR
+    /// invariants already holding by construction: the O(nnz) check runs
+    /// in debug builds only.
+    pub(crate) fn from_valid_parts(
+        n_rows: usize,
+        n_cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        let m = Self {
+            n_rows,
+            n_cols,
+            indptr,
+            indices,
+            values,
+        };
+        if cfg!(debug_assertions) {
+            m.assert_valid();
+        }
+        m
+    }
+
+    fn assert_valid(&self) {
+        let (indptr, indices) = (&self.indptr, &self.indices);
+        assert_eq!(indptr.len(), self.n_rows + 1, "indptr length");
+        assert_eq!(indices.len(), self.values.len(), "indices/values length");
         assert_eq!(*indptr.last().unwrap(), indices.len(), "indptr tail");
-        for i in 0..n_rows {
+        for i in 0..self.n_rows {
             assert!(indptr[i] <= indptr[i + 1], "indptr not monotone");
             let row = &indices[indptr[i]..indptr[i + 1]];
             for w in row.windows(2) {
                 assert!(w[0] < w[1], "columns not strictly ascending in row {i}");
             }
             for &c in row {
-                assert!((c as usize) < n_cols, "column out of bounds");
+                assert!((c as usize) < self.n_cols, "column out of bounds");
             }
-        }
-        Self {
-            n_rows,
-            n_cols,
-            indptr,
-            indices,
-            values,
         }
     }
 

@@ -14,41 +14,110 @@ use crate::Csr;
 /// edge weights (typically 1.0). Self loops in the input are coalesced with
 /// the added identity. For a directed graph, pass the adjacency as-is; the
 /// caller transposes `Â` for backpropagation when needed.
+///
+/// Each row of `a` is already sorted, so `Ã = A + I` is one merge of the
+/// diagonal into every row, which also sums the row's degree; the scaling
+/// then runs in place over `Ã`'s values. No entry is re-sorted.
 pub fn normalize_adjacency(a: &Csr) -> Csr {
     assert_eq!(a.n_rows(), a.n_cols(), "adjacency must be square");
     let n = a.n_rows();
-    // Ã = A + I, coalescing any existing self loops.
-    let mut coo: Vec<(u32, u32, f32)> = a.iter().collect();
-    coo.extend((0..n as u32).map(|i| (i, i, 1.0)));
-    let tilde = Csr::from_coo(n, n, coo);
-
-    // Row-sum degrees of Ã. For a directed graph this is the out-degree row
-    // sum, matching the paper's D(i,i) = Σⱼ Ã(i,j).
-    let mut deg = vec![0.0f64; n];
-    for (r, _c, v) in tilde.iter() {
-        deg[r as usize] += v as f64;
-    }
-    let inv_sqrt: Vec<f32> = deg
-        .iter()
-        .map(|&d| {
-            if d > 0.0 {
-                (1.0 / d.sqrt()) as f32
-            } else {
-                0.0
+    // At most one entry per row is added; the slack left by rows that
+    // already hold a self loop is truncated below.
+    let mut indptr = vec![0usize; n + 1];
+    let mut indices = vec![0u32; a.nnz() + n];
+    let mut values = vec![0.0f32; a.nnz() + n];
+    let mut inv_sqrt = vec![0.0f32; n];
+    let mut k = 0;
+    for r in 0..n {
+        let diag = r as u32;
+        // Row-sum degree of Ã, in column order. For a directed graph this
+        // is the out-degree row sum, matching the paper's D(i,i) = Σⱼ Ã(i,j).
+        let mut d = 0.0f64;
+        let mut diag_pending = true;
+        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+            let mut v = v;
+            if diag_pending && c >= diag {
+                diag_pending = false;
+                if c == diag {
+                    // An existing self loop coalesces with the identity.
+                    v += 1.0;
+                } else {
+                    indices[k] = diag;
+                    values[k] = 1.0;
+                    k += 1;
+                    d += 1.0;
+                }
             }
-        })
-        .collect();
+            indices[k] = c;
+            values[k] = v;
+            k += 1;
+            d += v as f64;
+        }
+        if diag_pending {
+            indices[k] = diag;
+            values[k] = 1.0;
+            k += 1;
+            d += 1.0;
+        }
+        indptr[r + 1] = k;
+        inv_sqrt[r] = if d > 0.0 {
+            (1.0 / d.sqrt()) as f32
+        } else {
+            0.0
+        };
+    }
+    indices.truncate(k);
+    values.truncate(k);
 
-    let scaled: Vec<(u32, u32, f32)> = tilde
-        .iter()
-        .map(|(r, c, v)| (r, c, inv_sqrt[r as usize] * v * inv_sqrt[c as usize]))
-        .collect();
-    Csr::from_coo(n, n, scaled)
+    for r in 0..n {
+        let row = indptr[r]..indptr[r + 1];
+        for (v, &c) in values[row.clone()].iter_mut().zip(&indices[row]) {
+            *v = inv_sqrt[r] * *v * inv_sqrt[c as usize];
+        }
+    }
+    Csr::from_valid_parts(n, n, indptr, indices, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pargcn_util::qc;
+    use pargcn_util::rng::Rng;
+
+    /// Reference normalization through two COO round-trips (`A + I`, then
+    /// the scaled entries): [`normalize_adjacency`] must match it bit for
+    /// bit.
+    fn normalize_adjacency_coo(a: &Csr) -> Csr {
+        assert_eq!(a.n_rows(), a.n_cols(), "adjacency must be square");
+        let n = a.n_rows();
+        // Ã = A + I, coalescing any existing self loops.
+        let mut coo: Vec<(u32, u32, f32)> = a.iter().collect();
+        coo.extend((0..n as u32).map(|i| (i, i, 1.0)));
+        let tilde = Csr::from_coo(n, n, coo);
+
+        // Row-sum degrees of Ã. For a directed graph this is the out-degree row
+        // sum, matching the paper's D(i,i) = Σⱼ Ã(i,j).
+        let mut deg = vec![0.0f64; n];
+        for (r, _c, v) in tilde.iter() {
+            deg[r as usize] += v as f64;
+        }
+        let inv_sqrt: Vec<f32> = deg
+            .iter()
+            .map(|&d| {
+                if d > 0.0 {
+                    (1.0 / d.sqrt()) as f32
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+
+        let scaled: Vec<(u32, u32, f32)> = tilde
+            .iter()
+            .map(|(r, c, v)| (r, c, inv_sqrt[r as usize] * v * inv_sqrt[c as usize]))
+            .collect();
+        Csr::from_coo(n, n, scaled)
+    }
 
     #[test]
     fn normalized_has_self_loops() {
@@ -141,5 +210,40 @@ mod tests {
             assert!(nx.frobenius_norm() <= x.frobenius_norm() * (1.0 + 1e-5));
             x = nx;
         }
+    }
+
+    #[test]
+    fn merged_normalization_matches_the_coo_round_trip() {
+        // Directed and undirected patterns, explicit self loops with
+        // arbitrary weights, isolated vertices and explicit zeros.
+        qc::check(|rng| {
+            let n = rng.gen_range(1..60usize);
+            let symmetric = rng.gen_range(0..2u32) == 0;
+            let mut coo = Vec::new();
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let r = rng.gen_range(0..n as u32);
+                let c = if rng.gen_range(0..6u32) == 0 {
+                    r
+                } else {
+                    rng.gen_range(0..n as u32)
+                };
+                let v = match rng.gen_range(0..4u32) {
+                    0 => 0.0,
+                    1 => rng.gen_range(-2.0..2.0f32),
+                    _ => 1.0,
+                };
+                coo.push((r, c, v));
+                if symmetric {
+                    coo.push((c, r, v));
+                }
+            }
+            let a = Csr::from_coo(n, n, coo);
+            let got = normalize_adjacency(&a);
+            let want = normalize_adjacency_coo(&a);
+            assert_eq!(got.indptr(), want.indptr());
+            assert_eq!(got.indices(), want.indices());
+            let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+        });
     }
 }

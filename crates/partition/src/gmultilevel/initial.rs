@@ -7,9 +7,9 @@
 //! speed.
 
 use crate::graph_model::WeightedGraph;
+use crate::heap::IndexedMaxHeap;
 use pargcn_util::rng::Rng;
 use pargcn_util::rng::StdRng;
-use std::collections::BinaryHeap;
 
 /// Number of random seeds tried per bisection.
 const TRIES: usize = 4;
@@ -42,43 +42,41 @@ fn grow_from(g: &WeightedGraph, seed: usize, target0: u64) -> Vec<u8> {
     let n = g.n();
     let mut side = vec![1u8; n];
     let mut grown_weight = 0u64;
-    // Max-heap of (connectivity-to-region, vertex); lazily updated.
-    let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
+    // Frontier keyed by connectivity to the grown region.
+    let mut heap = IndexedMaxHeap::new(n);
     let mut conn = vec![0u64; n];
     let mut next_seed = seed;
-    let mut visited_seed = vec![false; n];
+    // Every vertex before `cursor` is grown.
+    let mut cursor = 0;
 
     loop {
-        if side[next_seed] == 1 {
-            heap.push((1, next_seed as u32));
-            visited_seed[next_seed] = true;
-        }
+        heap.push_or_raise(next_seed as u32, 1);
         while grown_weight < target0 {
-            let Some((key, v)) = heap.pop() else { break };
+            let Some(v) = heap.pop() else { break };
             let v = v as usize;
-            if side[v] == 0 {
-                continue; // already grown
-            }
-            if key != conn[v].max(1) {
-                continue; // stale entry; a fresher one exists
-            }
             side[v] = 0;
             grown_weight += g.vertex_weights()[v];
             for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights_of(v)) {
                 if side[u as usize] == 1 {
                     conn[u as usize] += w;
-                    heap.push((conn[u as usize].max(1), u));
+                    heap.push_or_raise(u, conn[u as usize].max(1));
                 }
             }
         }
         if grown_weight >= target0 {
             break;
         }
-        // Disconnected graph: restart growth from an untouched vertex.
-        match (0..n).find(|&v| side[v] == 1 && !visited_seed[v]) {
-            Some(v) => next_seed = v,
-            None => break,
+        // Disconnected input: restart from the first ungrown vertex. The
+        // heap is empty here, so every earlier seed has been grown, and
+        // grown vertices never return to side 1: the first ungrown vertex
+        // never moves back, and the cursor only moves forward.
+        while cursor < n && side[cursor] == 0 {
+            cursor += 1;
         }
+        if cursor == n {
+            break;
+        }
+        next_seed = cursor;
     }
     side
 }
@@ -86,7 +84,56 @@ fn grow_from(g: &WeightedGraph, seed: usize, target0: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pargcn_util::qc;
     use pargcn_util::rng::SeedableRng;
+    use std::collections::BinaryHeap;
+
+    /// Reference growth over a lazy `BinaryHeap` (a push per key change,
+    /// stale entries skipped on pop): [`grow_from`] must match it exactly.
+    fn grow_from_lazy(g: &WeightedGraph, seed: usize, target0: u64) -> Vec<u8> {
+        let n = g.n();
+        let mut side = vec![1u8; n];
+        let mut grown_weight = 0u64;
+        // Max-heap of (connectivity-to-region, vertex); lazily updated.
+        let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
+        let mut conn = vec![0u64; n];
+        let mut next_seed = seed;
+        let mut visited_seed = vec![false; n];
+
+        loop {
+            if side[next_seed] == 1 {
+                heap.push((1, next_seed as u32));
+                visited_seed[next_seed] = true;
+            }
+            while grown_weight < target0 {
+                let Some((key, v)) = heap.pop() else { break };
+                let v = v as usize;
+                if side[v] == 0 {
+                    continue; // already grown
+                }
+                if key != conn[v].max(1) {
+                    continue; // stale entry; a fresher one exists
+                }
+                side[v] = 0;
+                grown_weight += g.vertex_weights()[v];
+                for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights_of(v)) {
+                    if side[u as usize] == 1 {
+                        conn[u as usize] += w;
+                        heap.push((conn[u as usize].max(1), u));
+                    }
+                }
+            }
+            if grown_weight >= target0 {
+                break;
+            }
+            // Disconnected graph: restart growth from an untouched vertex.
+            match (0..n).find(|&v| side[v] == 1 && !visited_seed[v]) {
+                Some(v) => next_seed = v,
+                None => break,
+            }
+        }
+        side
+    }
 
     fn path_graph(n: usize) -> WeightedGraph {
         let mut adj_ptr = vec![0usize];
@@ -150,5 +197,69 @@ mod tests {
         let side = greedy_bisect(&g, 0.75, &mut rng);
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert!(w0 >= 13, "grew only {w0} of target 15");
+    }
+
+    /// Symmetric adjacency lists from undirected weighted edges.
+    fn from_edges(weights: Vec<u64>, edges: &[(u32, u32, u64)]) -> WeightedGraph {
+        let n = weights.len();
+        let mut lists = vec![Vec::new(); n];
+        for &(u, v, w) in edges {
+            lists[u as usize].push((v, w));
+            lists[v as usize].push((u, w));
+        }
+        let mut adj_ptr = vec![0usize];
+        let (mut adj, mut ew) = (Vec::new(), Vec::new());
+        for list in lists {
+            for (v, w) in list {
+                adj.push(v);
+                ew.push(w);
+            }
+            adj_ptr.push(adj.len());
+        }
+        WeightedGraph::new(weights, adj_ptr, adj, ew)
+    }
+
+    #[test]
+    fn indexed_growth_matches_the_lazy_heap() {
+        // Several components, parallel and zero-weight edges, self loops
+        // and isolated vertices.
+        qc::check(|rng| {
+            let n = rng.gen_range(1..80usize);
+            let pinned = rng.gen_range(1..=n);
+            let components = rng.gen_range(1..6usize).min(pinned);
+            let mut edges = Vec::new();
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let c = rng.gen_range(0..components);
+                let members: Vec<u32> = (c..pinned).step_by(components).map(|v| v as u32).collect();
+                let u = members[rng.gen_range(0..members.len())];
+                let v = members[rng.gen_range(0..members.len())];
+                edges.push((u, v, rng.gen_range(0..4u64)));
+                if rng.gen_range(0..5u32) == 0 {
+                    edges.push((u, v, rng.gen_range(0..4u64)));
+                }
+            }
+            let g = from_edges((0..n).map(|_| rng.gen_range(0..6u64)).collect(), &edges);
+            let total: u64 = g.vertex_weights().iter().sum();
+            for _ in 0..4 {
+                let seed = rng.gen_range(0..n);
+                let target0 = rng.gen_range(0..=total + 1);
+                assert_eq!(
+                    grow_from(&g, seed, target0),
+                    grow_from_lazy(&g, seed, target0)
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn growth_restarts_across_many_components() {
+        // 2,000 disjoint edges: growth must restart once per component it
+        // absorbs, each restart resuming the forward scan.
+        let edges: Vec<(u32, u32, u64)> = (0..2000u32).map(|c| (2 * c, 2 * c + 1, 1)).collect();
+        let g = from_edges(vec![1; 4000], &edges);
+        let side = grow_from(&g, 1234, 3000);
+        assert_eq!(side, grow_from_lazy(&g, 1234, 3000));
+        assert_eq!(side.iter().filter(|&&s| s == 0).count(), 3000);
+        assert!((0..2000).all(|c| side[2 * c] == side[2 * c + 1]));
     }
 }

@@ -10,7 +10,6 @@
 use crate::hypergraph::Hypergraph;
 use pargcn_util::rng::SliceRandom;
 use pargcn_util::rng::StdRng;
-use std::collections::HashMap;
 
 /// Nets with more pins than this are ignored during matching (scanning a
 /// hub column's thousands of pins per candidate would dominate runtime and
@@ -20,6 +19,15 @@ const MATCHING_NET_CAP: usize = 64;
 /// One level of heavy-connectivity matching. Returns the coarse hypergraph
 /// and the fine-vertex → coarse-vertex map.
 pub fn coarsen_once(h: &Hypergraph, rng: &mut StdRng) -> (Hypergraph, Vec<u32>) {
+    let (matched, nc) = cluster(h, rng);
+    (contract(h, &matched, nc), matched)
+}
+
+/// The clustering half of [`coarsen_once`]: the fine → coarse map and the
+/// coarse vertex count. The multilevel bisection checks the count before it
+/// pays for [`contract`], so a level that fails the reduction test is
+/// never built.
+pub(crate) fn cluster(h: &Hypergraph, rng: &mut StdRng) -> (Vec<u32>, usize) {
     let n = h.n_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
@@ -106,15 +114,21 @@ pub fn coarsen_once(h: &Hypergraph, rng: &mut StdRng) -> (Hypergraph, Vec<u32>) 
         }
     }
 
-    // Coarse vertex weights.
-    let nc = coarse_count as usize;
+    (matched, coarse_count as usize)
+}
+
+/// The contraction half of [`coarsen_once`]: merged vertices sum weights,
+/// pins map through `matched` and dedup, single-pin nets vanish, and
+/// identical nets merge with summed cost, in lexicographic pin order.
+pub(crate) fn contract(h: &Hypergraph, matched: &[u32], nc: usize) -> Hypergraph {
     let mut vertex_weights = vec![0u64; nc];
-    for v in 0..n {
-        vertex_weights[matched[v] as usize] += h.vertex_weights()[v];
+    for (v, &c) in matched.iter().enumerate() {
+        vertex_weights[c as usize] += h.vertex_weights()[v];
     }
 
-    // Coarse nets: map pins, dedup, drop singletons, merge identical nets.
-    let mut net_map: HashMap<Vec<u32>, u64> = HashMap::new();
+    // Mapped nets of two or more pins, as spans of one flat buffer.
+    let mut pins: Vec<u32> = Vec::with_capacity(h.n_pins());
+    let mut spans: Vec<(usize, usize, u64)> = Vec::new();
     let mut scratch = Vec::new();
     for net in 0..h.n_nets() {
         scratch.clear();
@@ -122,21 +136,64 @@ pub fn coarsen_once(h: &Hypergraph, rng: &mut StdRng) -> (Hypergraph, Vec<u32>) 
         scratch.sort_unstable();
         scratch.dedup();
         if scratch.len() >= 2 {
-            *net_map.entry(scratch.clone()).or_insert(0) += h.net_cost(net);
+            spans.push((pins.len(), pins.len() + scratch.len(), h.net_cost(net)));
+            pins.extend_from_slice(&scratch);
         }
     }
-    // Deterministic net order (HashMap iteration order is not).
-    let mut entries: Vec<(Vec<u32>, u64)> = net_map.into_iter().collect();
-    entries.sort_unstable();
-    let (nets, costs): (Vec<Vec<u32>>, Vec<u64>) = entries.into_iter().unzip();
-    (Hypergraph::new(vertex_weights, nets, costs), matched)
+    // Lexicographic order puts identical nets next to each other, where
+    // they merge.
+    spans.sort_unstable_by(|a, b| pins[a.0..a.1].cmp(&pins[b.0..b.1]));
+    let mut net_ptr = vec![0usize];
+    let mut net_pins = Vec::with_capacity(pins.len());
+    let mut costs: Vec<u64> = Vec::with_capacity(spans.len());
+    let mut prev: Option<&[u32]> = None;
+    for &(start, end, cost) in &spans {
+        let net = &pins[start..end];
+        if prev == Some(net) {
+            *costs.last_mut().unwrap() += cost;
+            continue;
+        }
+        prev = Some(net);
+        net_pins.extend_from_slice(net);
+        net_ptr.push(net_pins.len());
+        costs.push(cost);
+    }
+    Hypergraph::from_sorted_csr(vertex_weights, net_ptr, net_pins, costs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Partition;
-    use pargcn_util::rng::SeedableRng;
+    use pargcn_util::qc;
+    use pargcn_util::rng::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// Reference contraction through a `HashMap<Vec<u32>, u64>` and a sort
+    /// of its entries: [`contract`] must match it exactly.
+    fn contract_hashed(h: &Hypergraph, matched: &[u32], nc: usize) -> Hypergraph {
+        let mut vertex_weights = vec![0u64; nc];
+        for v in 0..h.n_vertices() {
+            vertex_weights[matched[v] as usize] += h.vertex_weights()[v];
+        }
+        // Coarse nets: map pins, dedup, drop singletons, merge identical nets.
+        let mut net_map: HashMap<Vec<u32>, u64> = HashMap::new();
+        let mut scratch = Vec::new();
+        for net in 0..h.n_nets() {
+            scratch.clear();
+            scratch.extend(h.pins(net).iter().map(|&p| matched[p as usize]));
+            scratch.sort_unstable();
+            scratch.dedup();
+            if scratch.len() >= 2 {
+                *net_map.entry(scratch.clone()).or_insert(0) += h.net_cost(net);
+            }
+        }
+        // Deterministic net order (HashMap iteration order is not).
+        let mut entries: Vec<(Vec<u32>, u64)> = net_map.into_iter().collect();
+        entries.sort_unstable();
+        let (nets, costs): (Vec<Vec<u32>>, Vec<u64>) = entries.into_iter().unzip();
+        Hypergraph::new(vertex_weights, nets, costs)
+    }
 
     /// Chain hypergraph: net i connects {i, i+1}.
     fn chain(n: usize) -> Hypergraph {
@@ -218,5 +275,29 @@ mod tests {
         let a = coarsen_once(&h, &mut StdRng::seed_from_u64(4)).1;
         let b = coarsen_once(&h, &mut StdRng::seed_from_u64(4)).1;
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn flat_contraction_matches_the_hashed_one() {
+        qc::check(|rng| {
+            let h = crate::hypergraph::random_hypergraph(rng);
+            let (matched, nc) = cluster(&h, rng);
+            assert_eq!(
+                contract(&h, &matched, nc),
+                contract_hashed(&h, &matched, nc)
+            );
+            // Arbitrary many-to-one maps too, not just what matching finds.
+            let nc = rng.gen_range(1..=h.n_vertices());
+            let map: Vec<u32> = (0..h.n_vertices())
+                .map(|v| {
+                    if v < nc {
+                        v as u32
+                    } else {
+                        rng.gen_range(0..nc as u32)
+                    }
+                })
+                .collect();
+            assert_eq!(contract(&h, &map, nc), contract_hashed(&h, &map, nc));
+        });
     }
 }

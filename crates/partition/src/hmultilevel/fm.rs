@@ -50,20 +50,27 @@ pub fn refine(h: &Hypergraph, side: &mut [u8], frac0: f64, epsilon: f64, max_pas
         }
     }
 
+    // Per-pass state, allocated once and reset at the top of each pass.
+    let mut locked = vec![false; n];
+    // Bounds the lazy-exact churn: a vertex whose heap key keeps going
+    // stale (hubs on skewed graphs — every neighbor move shifts their
+    // gain) is dropped for the rest of the pass after a few corrections
+    // instead of being recomputed indefinitely. Hubs rarely move
+    // profitably anyway, and the next pass reconsiders everything.
+    let mut stale_corrections = vec![0u8; n];
+    let mut heap: BinaryHeap<(i64, u32)> = BinaryHeap::with_capacity(n);
+    let mut log: Vec<u32> = Vec::new();
+
     for _pass in 0..max_passes {
-        let mut locked = vec![false; n];
-        // Bounds the lazy-exact churn: a vertex whose heap key keeps going
-        // stale (hubs on skewed graphs — every neighbor move shifts their
-        // gain) is dropped for the rest of the pass after a few corrections
-        // instead of being recomputed indefinitely. Hubs rarely move
-        // profitably anyway, and the next pass reconsiders everything.
-        let mut stale_corrections = vec![0u8; n];
-        let mut heap: BinaryHeap<(i64, u32)> = BinaryHeap::new();
+        locked.fill(false);
+        stale_corrections.fill(0);
+        // Each pass drains the heap, so it starts empty.
+        debug_assert!(heap.is_empty());
         for v in 0..n {
             heap.push((gain(h, side, &counts, v), v as u32));
         }
 
-        let mut log: Vec<u32> = Vec::new();
+        log.clear();
         let mut cumulative = 0i64;
         let mut best_cumulative = 0i64;
         let mut best_len = 0usize;

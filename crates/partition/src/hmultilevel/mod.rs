@@ -132,28 +132,36 @@ fn recurse(
 
 /// One multilevel bisection, returning side labels with side-0 target
 /// weight fraction `frac0`.
+///
+/// `coarse[i]` is level `i + 1` and `maps[i]` maps level `i` onto it; level
+/// 0 is `h` itself, borrowed. A level whose clustering fails the 0.95
+/// reduction test is never contracted.
 fn bisect(h: &Hypergraph, frac0: f64, epsilon: f64, opts: Options, rng: &mut StdRng) -> Vec<u8> {
-    let mut levels: Vec<(Hypergraph, Vec<u32>)> = Vec::new();
-    let mut current = h.clone();
-    while opts.coarsen && current.n_vertices() > 96 {
-        let (coarse, map) = coarsen::coarsen_once(&current, rng);
-        if coarse.n_vertices() as f64 > current.n_vertices() as f64 * 0.95 {
+    let mut coarse: Vec<Hypergraph> = Vec::new();
+    let mut maps: Vec<Vec<u32>> = Vec::new();
+    loop {
+        let current = coarse.last().unwrap_or(h);
+        if !opts.coarsen || current.n_vertices() <= 96 {
             break;
         }
-        levels.push((current, map));
-        current = coarse;
+        let (map, nc) = coarsen::cluster(current, rng);
+        if nc as f64 > current.n_vertices() as f64 * 0.95 {
+            break;
+        }
+        let next = coarsen::contract(current, &map, nc);
+        maps.push(map);
+        coarse.push(next);
     }
 
-    let mut side = initial::greedy_bisect(&current, frac0, rng);
-    fm::refine(&current, &mut side, frac0, epsilon, opts.fm_passes_coarsest);
+    let coarsest = coarse.last().unwrap_or(h);
+    let mut side = initial::greedy_bisect(coarsest, frac0, rng);
+    fm::refine(coarsest, &mut side, frac0, epsilon, opts.fm_passes_coarsest);
 
-    while let Some((fine, map)) = levels.pop() {
-        let mut fine_side = vec![0u8; fine.n_vertices()];
-        for v in 0..fine.n_vertices() {
-            fine_side[v] = side[map[v] as usize];
-        }
-        side = fine_side;
-        fm::refine(&fine, &mut side, frac0, epsilon, opts.fm_passes_uncoarsen);
+    while let Some(map) = maps.pop() {
+        coarse.pop();
+        let fine = coarse.last().unwrap_or(h);
+        side = map.iter().map(|&c| side[c as usize]).collect();
+        fm::refine(fine, &mut side, frac0, epsilon, opts.fm_passes_uncoarsen);
     }
     side
 }
@@ -161,7 +169,12 @@ fn bisect(h: &Hypergraph, frac0: f64, epsilon: f64, opts: Options, rng: &mut Std
 /// Net-splitting sub-hypergraph extraction: pins are restricted to
 /// `vertices` (renumbered); nets left with fewer than two pins can never be
 /// cut again and are dropped.
+///
+/// `vertices` must be strictly ascending (recursive bisection keeps them
+/// so), which makes local ids monotone in global ids: every restricted net
+/// is already sorted.
 pub(crate) fn extract_subhypergraph(h: &Hypergraph, vertices: &[u32]) -> Hypergraph {
+    debug_assert!(vertices.windows(2).all(|w| w[0] < w[1]));
     let mut map = vec![u32::MAX; h.n_vertices()];
     for (local, &v) in vertices.iter().enumerate() {
         map[v as usize] = local as u32;
@@ -170,23 +183,25 @@ pub(crate) fn extract_subhypergraph(h: &Hypergraph, vertices: &[u32]) -> Hypergr
         .iter()
         .map(|&v| h.vertex_weights()[v as usize])
         .collect();
-    let mut nets = Vec::new();
+    let mut net_ptr = vec![0usize];
+    let mut net_pins = Vec::new();
     let mut costs = Vec::new();
-    let mut scratch = Vec::new();
     for net in 0..h.n_nets() {
-        scratch.clear();
-        for &pin in h.pins(net) {
-            let m = map[pin as usize];
-            if m != u32::MAX {
-                scratch.push(m);
-            }
-        }
-        if scratch.len() >= 2 {
-            nets.push(scratch.clone());
+        let start = net_pins.len();
+        net_pins.extend(
+            h.pins(net)
+                .iter()
+                .map(|&pin| map[pin as usize])
+                .filter(|&m| m != u32::MAX),
+        );
+        if net_pins.len() - start >= 2 {
+            net_ptr.push(net_pins.len());
             costs.push(h.net_cost(net));
+        } else {
+            net_pins.truncate(start);
         }
     }
-    Hypergraph::new(vertex_weights, nets, costs)
+    Hypergraph::from_sorted_csr(vertex_weights, net_ptr, net_pins, costs)
 }
 
 #[cfg(test)]

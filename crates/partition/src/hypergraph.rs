@@ -14,7 +14,7 @@ use pargcn_matrix::Csr;
 
 /// A hypergraph `H = (V, N)` with weighted vertices and weighted nets,
 /// stored as a net→pin CSR plus its vertex→net inverse.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Hypergraph {
     vertex_weights: Vec<u64>,
     net_costs: Vec<u64>,
@@ -43,6 +43,29 @@ impl Hypergraph {
             net_pins.extend_from_slice(&sorted);
             net_ptr.push(net_pins.len());
         }
+        Self::from_sorted_csr(vertex_weights, net_ptr, net_pins, net_costs)
+    }
+
+    /// Builds from a net → pin CSR whose pins are already strictly
+    /// ascending within each net — the form the column-net model,
+    /// coarsening and sub-hypergraph extraction produce — skipping
+    /// [`Hypergraph::new`]'s per-net sort.
+    pub(crate) fn from_sorted_csr(
+        vertex_weights: Vec<u64>,
+        net_ptr: Vec<usize>,
+        net_pins: Vec<u32>,
+        net_costs: Vec<u64>,
+    ) -> Self {
+        assert_eq!(
+            net_ptr.len(),
+            net_costs.len() + 1,
+            "net cost length mismatch"
+        );
+        let n = vertex_weights.len();
+        debug_assert!(net_ptr.windows(2).all(|w| {
+            let pins = &net_pins[w[0]..w[1]];
+            pins.windows(2).all(|p| p[0] < p[1]) && pins.iter().all(|&p| (p as usize) < n)
+        }));
         let (vtx_ptr, vtx_nets) = invert(n, &net_ptr, &net_pins);
         Self {
             vertex_weights,
@@ -89,15 +112,7 @@ impl Hypergraph {
             net_pins.extend_from_slice(at.row_indices(j));
             net_ptr.push(net_pins.len());
         }
-        let (vtx_ptr, vtx_nets) = invert(n, &net_ptr, &net_pins);
-        Self {
-            vertex_weights,
-            net_costs: vec![1; n],
-            net_ptr,
-            net_pins,
-            vtx_ptr,
-            vtx_nets,
-        }
+        Self::from_sorted_csr(vertex_weights, net_ptr, net_pins, vec![1; n])
     }
 
     #[inline]
@@ -186,6 +201,38 @@ impl Hypergraph {
         self.vtx_nets = vtx_nets;
         self
     }
+}
+
+/// Random hypergraphs for the oracle tests: several disconnected
+/// components, weighted (sometimes zero-cost) nets, duplicate nets,
+/// single-pin nets and vertices with no nets at all.
+#[cfg(test)]
+pub(crate) fn random_hypergraph(rng: &mut pargcn_util::rng::StdRng) -> Hypergraph {
+    use pargcn_util::rng::Rng;
+    let n = rng.gen_range(1..80usize);
+    // Vertices at or past `pinned` never appear in a net.
+    let pinned = rng.gen_range(1..=n);
+    let components = rng.gen_range(1..6usize).min(pinned);
+    let mut nets: Vec<Vec<u32>> = Vec::new();
+    let mut costs = Vec::new();
+    for _ in 0..rng.gen_range(0..3 * n) {
+        if !nets.is_empty() && rng.gen_range(0..5u32) == 0 {
+            let i = rng.gen_range(0..nets.len());
+            nets.push(nets[i].clone());
+        } else {
+            let c = rng.gen_range(0..components);
+            let members: Vec<u32> = (c..pinned).step_by(components).map(|v| v as u32).collect();
+            let size = rng.gen_range(1..=members.len().min(12));
+            nets.push(
+                (0..size)
+                    .map(|_| members[rng.gen_range(0..members.len())])
+                    .collect(),
+            );
+        }
+        costs.push(rng.gen_range(0..4u64));
+    }
+    let weights = (0..n).map(|_| rng.gen_range(0..6u64)).collect();
+    Hypergraph::new(weights, nets, costs)
 }
 
 /// Builds the vertex → incident-net CSR from the net → pin CSR.

@@ -35,6 +35,7 @@
 
 pub mod gmultilevel;
 pub mod graph_model;
+mod heap;
 pub mod hmultilevel;
 pub mod hypergraph;
 pub mod metrics;

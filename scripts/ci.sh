@@ -37,6 +37,7 @@ done
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
 run cargo bench -q --offline --locked -p pargcn-bench --bench kernels -- --quick kernel_engine
 run cargo bench -q --offline --locked -p pargcn-bench --bench minibatch -- --quick
+run cargo bench -q --offline --locked -p pargcn-bench --bench partitioners -- --quick
 # Build the benchmark (a workspace of its own over the crates' public
 # API) and run its exact-count self-test, so an API change that breaks
 # it fails here rather than in the next performance measurement.
