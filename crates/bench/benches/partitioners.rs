@@ -1,5 +1,6 @@
-//! Criterion benchmarks for the partitioning substrate: RP, GP (mini-METIS),
-//! HP (mini-PaToH), SHP, and comm-plan construction.
+//! Criterion benchmarks for the partitioning substrate: RP, GP and HP (one
+//! multilevel engine on the graph and column-net models), SHP, and
+//! comm-plan construction.
 
 use pargcn_core::CommPlan;
 use pargcn_graph::gen::{community, grid, social};
@@ -29,20 +30,24 @@ fn bench_methods(c: &mut Criterion) {
 }
 
 fn bench_graph_families(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hp_by_family");
+    let mut group = c.benchmark_group("by_family");
     group.sample_size(10);
     // The dense, skewed social case is Reddit-like: every column net is
-    // larger than the coarsening's matching cap, so coarsening stalls and
-    // greedy growth and FM run on the whole hypergraph.
+    // larger than the coarsening's matching cap, so HP's coarsening stalls
+    // and greedy growth and FM run on the whole hypergraph. GP runs the
+    // same engine on the graph model's 2-pin nets, coarsened by heavy-edge
+    // matching.
     for (name, g) in [
         ("road_8k", grid::road_network(8000, 2)),
         ("copurchase_8k", community::copurchase(8000, 6.0, false, 2)),
         ("reddit_like_2k", social::generate(2000, 400.0, false, 2)),
     ] {
         let a = g.normalized_adjacency();
-        group.bench_function(name, |b| {
-            b.iter(|| partition_rows(&g, &a, Method::Hp, 16, 0.05, 1))
-        });
+        for method in [Method::Hp, Method::Gp] {
+            group.bench_with_input(BenchmarkId::new(name, method.name()), &method, |b, &m| {
+                b.iter(|| partition_rows(&g, &a, m, 16, 0.05, 1))
+            });
+        }
     }
     group.finish();
 }

@@ -1,9 +1,13 @@
-//! Heavy-connectivity-matching coarsening for hypergraphs.
+//! Coarsening for the multilevel bisection: a clustering step that maps
+//! fine vertices to coarse ones, and a contraction step that builds the
+//! coarse hypergraph.
 //!
-//! Two vertices match when they share many (small, cheap-to-scan) nets; the
-//! score of a candidate pair accumulates `cost(net)/(|pins(net)|−1)` over
-//! shared nets, the classic PaToH heavy-connectivity heuristic. Merged
-//! vertices sum weights; pins map through the merge; single-pin nets
+//! Hypergraphs cluster by heavy connectivity: two vertices match when they
+//! share many (small, cheap-to-scan) nets; the score of a candidate pair
+//! accumulates `cost(net)/(|pins(net)|−1)` over shared nets, the classic
+//! PaToH heavy-connectivity heuristic. Graphs (every net has two pins, see
+//! [`Hypergraph::graph_model`]) match by heavy edge instead, as METIS does.
+//! Merged vertices sum weights; pins map through the merge; single-pin nets
 //! disappear and identical nets merge with summed cost, so the coarse FM
 //! works on an equivalent but much smaller problem.
 
@@ -114,6 +118,42 @@ pub(crate) fn cluster(h: &Hypergraph, rng: &mut StdRng) -> (Vec<u32>, usize) {
         }
     }
 
+    (matched, coarse_count as usize)
+}
+
+/// Heavy-edge matching, the clustering for graphs (every net has exactly
+/// two pins). Vertices are visited in random order; each unmatched vertex
+/// pairs with its unmatched neighbor over the heaviest net, the first such
+/// neighbor in net order on ties, or stays single. Returns the same
+/// `(map, coarse count)` as [`cluster`].
+pub(crate) fn match_edges(h: &Hypergraph, rng: &mut StdRng) -> (Vec<u32>, usize) {
+    let n = h.n_vertices();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.shuffle(rng);
+
+    let mut matched = vec![u32::MAX; n];
+    let mut coarse_count = 0u32;
+    for &v in &order {
+        if matched[v as usize] != u32::MAX {
+            continue;
+        }
+        let mut best: Option<(u64, u32)> = None;
+        for &net in h.nets_of(v as usize) {
+            let &[a, b] = h.pins(net as usize) else {
+                panic!("heavy-edge matching needs 2-pin nets");
+            };
+            let u = if a == v { b } else { a };
+            let w = h.net_cost(net as usize);
+            if matched[u as usize] == u32::MAX && best.is_none_or(|(bw, _)| w > bw) {
+                best = Some((w, u));
+            }
+        }
+        matched[v as usize] = coarse_count;
+        if let Some((_, u)) = best {
+            matched[u as usize] = coarse_count;
+        }
+        coarse_count += 1;
+    }
     (matched, coarse_count as usize)
 }
 

@@ -9,10 +9,13 @@
 //! * `−cost(n)` for every net where `t` currently has *no* pins
 //!   (the net becomes cut).
 //!
+//! On a 2-pin net (the graph model) this is the edge-cut gain: external
+//! minus internal edge weight.
+//!
 //! Per-net side pin counts make that gain O(incident nets) to evaluate, and
-//! the same lazy max-heap strategy as the graph FM keeps the implementation
-//! simple: stale heap keys are detected by recomputing the exact gain on
-//! pop.
+//! a lazy max-heap keeps the implementation simple: stale heap keys are
+//! detected by recomputing the exact gain on pop. Within a pass every
+//! vertex moves at most once, and the pass rolls back to its best prefix.
 
 use crate::hypergraph::Hypergraph;
 use std::collections::BinaryHeap;
@@ -28,7 +31,9 @@ const MAX_STALE_CORRECTIONS: u8 = 6;
 /// updates (their gain recompute is itself expensive).
 const UPDATE_VERTEX_CAP: usize = 96;
 
-/// Refines side labels in place. Same contract as the graph FM.
+/// Refines side labels in place. `frac0` is the target side-0 weight
+/// fraction, `epsilon` the allowed imbalance over the target, and
+/// `max_passes` bounds the number of full FM passes.
 pub fn refine(h: &Hypergraph, side: &mut [u8], frac0: f64, epsilon: f64, max_passes: usize) {
     let n = h.n_vertices();
     if n < 2 {
@@ -158,7 +163,7 @@ fn apply_move(h: &Hypergraph, side: &mut [u8], counts: &mut [[u32; 2]], v: usize
 
 /// Exact FM gain of moving `v` to the other side, from per-net counts.
 #[inline]
-fn gain(h: &Hypergraph, side: &[u8], counts: &[[u32; 2]], v: usize) -> i64 {
+pub(crate) fn gain(h: &Hypergraph, side: &[u8], counts: &[[u32; 2]], v: usize) -> i64 {
     let s = side[v] as usize;
     let t = 1 - s;
     let mut g = 0i64;

@@ -34,7 +34,7 @@ pub fn greedy_bisect(h: &Hypergraph, frac0: f64, rng: &mut StdRng) -> Vec<u8> {
     best.unwrap().1
 }
 
-fn grow_from(h: &Hypergraph, seed: usize, target0: u64) -> Vec<u8> {
+pub(crate) fn grow_from(h: &Hypergraph, seed: usize, target0: u64) -> Vec<u8> {
     let n = h.n_vertices();
     let mut side = vec![1u8; n];
     let mut grown_weight = 0u64;
@@ -84,7 +84,7 @@ fn grow_from(h: &Hypergraph, seed: usize, target0: u64) -> Vec<u8> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pargcn_util::qc;
     use pargcn_util::rng::SeedableRng;
@@ -92,7 +92,7 @@ mod tests {
 
     /// Reference growth over a lazy `BinaryHeap` (a push per key change,
     /// stale entries skipped on pop): [`grow_from`] must match it exactly.
-    fn grow_from_lazy(h: &Hypergraph, seed: usize, target0: u64) -> Vec<u8> {
+    pub(crate) fn grow_from_lazy(h: &Hypergraph, seed: usize, target0: u64) -> Vec<u8> {
         let n = h.n_vertices();
         let mut side = vec![1u8; n];
         let mut grown_weight = 0u64;

@@ -1,12 +1,16 @@
 //! Multilevel hypergraph partitioner minimizing the connectivity−1 metric
-//! (the HP model's engine — a from-scratch stand-in for PaToH, DESIGN.md §1).
+//! (a from-scratch stand-in for PaToH and METIS, DESIGN.md §1). It is the
+//! engine of every partitioning model: HP and SHP run it on column-net
+//! hypergraphs, GP on the graph model's 2-pin nets.
 //!
 //! Recursive bisection with net splitting: a net cut at one level is
 //! restricted to each side and re-partitioned deeper, so the sum of
 //! bisection cut costs over all levels equals the k-way connectivity−1 cut
 //! (the standard PaToH-style decomposition). Each bisection runs
-//! heavy-connectivity coarsening ([`coarsen`]), greedy growing
-//! ([`initial`]), and hypergraph FM refinement ([`fm`]).
+//! coarsening ([`coarsen`]), greedy growing ([`initial`]), and FM
+//! refinement ([`fm`]). Coarsening is the one step that depends on the
+//! input: a graph (every net has two pins) is coarsened by heavy-edge
+//! matching, anything else by heavy-connectivity clustering.
 
 pub mod coarsen;
 pub mod fm;
@@ -63,7 +67,17 @@ pub fn partition_with(
     let mut assignment = vec![0u32; n];
     let mut rng = StdRng::seed_from_u64(seed);
     let all: Vec<u32> = (0..n as u32).collect();
-    recurse(h, &all, 0, p, epsilon, opts, &mut rng, &mut assignment);
+    recurse(
+        h,
+        &all,
+        0,
+        p,
+        epsilon,
+        opts,
+        is_graph(h),
+        &mut rng,
+        &mut assignment,
+    );
     let mut part = Partition::new(assignment, p);
     if opts.kway_passes > 0 && p > 1 {
         kway::refine(h, &mut part, epsilon.max(0.03), opts.kway_passes);
@@ -71,7 +85,14 @@ pub fn partition_with(
     part
 }
 
-// The recursion state is inherently eight-wide; bundling it into a struct
+/// True when every net has exactly two pins: `h` is a graph, coarsened by
+/// heavy-edge matching. Extraction and contraction never grow a net, so a
+/// graph stays a graph at every level and the choice is made once.
+fn is_graph(h: &Hypergraph) -> bool {
+    (0..h.n_nets()).all(|net| h.pins(net).len() == 2)
+}
+
+// The recursion state is inherently nine-wide; bundling it into a struct
 // would only rename the problem.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
@@ -81,6 +102,7 @@ fn recurse(
     k: usize,
     epsilon: f64,
     opts: Options,
+    graph: bool,
     rng: &mut StdRng,
     assignment: &mut [u32],
 ) {
@@ -95,7 +117,7 @@ fn recurse(
     let frac0 = k0 as f64 / k as f64;
 
     let sub = extract_subhypergraph(h, vertices);
-    let side = bisect(&sub, frac0, epsilon, opts, rng);
+    let side = bisect(&sub, frac0, epsilon, opts, graph, rng);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -117,7 +139,17 @@ fn recurse(
             }
         }
     }
-    recurse(h, &left, part_offset, k0, epsilon, opts, rng, assignment);
+    recurse(
+        h,
+        &left,
+        part_offset,
+        k0,
+        epsilon,
+        opts,
+        graph,
+        rng,
+        assignment,
+    );
     recurse(
         h,
         &right,
@@ -125,6 +157,7 @@ fn recurse(
         k1,
         epsilon,
         opts,
+        graph,
         rng,
         assignment,
     );
@@ -135,8 +168,16 @@ fn recurse(
 ///
 /// `coarse[i]` is level `i + 1` and `maps[i]` maps level `i` onto it; level
 /// 0 is `h` itself, borrowed. A level whose clustering fails the 0.95
-/// reduction test is never contracted.
-fn bisect(h: &Hypergraph, frac0: f64, epsilon: f64, opts: Options, rng: &mut StdRng) -> Vec<u8> {
+/// reduction test is never contracted. `graph` selects heavy-edge matching
+/// over heavy-connectivity clustering.
+fn bisect(
+    h: &Hypergraph,
+    frac0: f64,
+    epsilon: f64,
+    opts: Options,
+    graph: bool,
+    rng: &mut StdRng,
+) -> Vec<u8> {
     let mut coarse: Vec<Hypergraph> = Vec::new();
     let mut maps: Vec<Vec<u32>> = Vec::new();
     loop {
@@ -144,7 +185,11 @@ fn bisect(h: &Hypergraph, frac0: f64, epsilon: f64, opts: Options, rng: &mut Std
         if !opts.coarsen || current.n_vertices() <= 96 {
             break;
         }
-        let (map, nc) = coarsen::cluster(current, rng);
+        let (map, nc) = if graph {
+            coarsen::match_edges(current, rng)
+        } else {
+            coarsen::cluster(current, rng)
+        };
         if nc as f64 > current.n_vertices() as f64 * 0.95 {
             break;
         }
@@ -291,5 +336,18 @@ mod tests {
         // loses pin 0 → 1 pin → dropped.
         assert_eq!(sub.n_nets(), 1);
         assert_eq!(sub.pins(0), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn graph_model_takes_the_matching_branch() {
+        let a = grid::road_network(400, 6).normalized_adjacency();
+        let g = Hypergraph::graph_model(&a);
+        assert!(is_graph(&g));
+        assert!(!is_graph(&Hypergraph::column_net_model(&a)));
+        // The flag stays valid below the top level.
+        let sub = extract_subhypergraph(&g, &(0..200).collect::<Vec<u32>>());
+        let (map, nc) = coarsen::match_edges(&sub, &mut StdRng::seed_from_u64(1));
+        assert!(is_graph(&sub));
+        assert!(is_graph(&coarsen::contract(&sub, &map, nc)));
     }
 }

@@ -5,10 +5,10 @@
 //! adjacency/feature/gradient matrices:
 //!
 //! * **RP** — [`random`]: uniform random rows, the balance baseline;
-//! * **GP** — [`gmultilevel`] over the [`graph_model::WeightedGraph`]
-//!   §4.3.1 model (the METIS/DistDGL approach, which *overestimates*
-//!   communication volume);
-//! * **HP** — [`hmultilevel`] over the [`hypergraph::Hypergraph`]
+//! * **GP** — [`hmultilevel`] over [`Hypergraph::graph_model`], the
+//!   §4.3.1 graph model as 2-pin nets (the METIS/DistDGL approach, which
+//!   *overestimates* communication volume);
+//! * **HP** — [`hmultilevel`] over [`Hypergraph::column_net_model`], the
 //!   column-net model of §4.3.2, whose connectivity−1 cut equals the exact
 //!   point-to-point communication volume;
 //! * **SHP** — [`stochastic`]: the §4.3.3 stochastic hypergraph built from
@@ -33,8 +33,13 @@
 //! assert_eq!(h.connectivity_cut(&part), stats.total_rows);
 //! ```
 
-pub mod gmultilevel;
-pub mod graph_model;
+/// GP's run through the shared engine, stage by stage, on graph-model
+/// (2-pin net) inputs. Test-only: the module keeps the test names GP's
+/// checks had when it ran a graph engine of its own.
+#[cfg(test)]
+#[path = "gp_tests.rs"]
+mod gmultilevel;
+mod graph_model;
 mod heap;
 pub mod hmultilevel;
 pub mod hypergraph;
@@ -103,10 +108,7 @@ pub fn partition_rows(
     assert_eq!(a.n_rows(), graph.n(), "matrix/graph size mismatch");
     match method {
         Method::Rp => random::partition(a.n_rows(), p, seed),
-        Method::Gp => {
-            let model = graph_model::WeightedGraph::graph_model(a);
-            gmultilevel::partition(&model, p, epsilon, seed)
-        }
+        Method::Gp => hmultilevel::partition(&Hypergraph::graph_model(a), p, epsilon, seed),
         Method::Hp => {
             let model = Hypergraph::column_net_model(a);
             hmultilevel::partition(&model, p, epsilon, seed)
@@ -135,6 +137,7 @@ mod tests {
                 sampler: stochastic::Sampler::UniformVertex { batch_size: 80 },
                 batches: 3,
             },
+            Method::Bp,
         ] {
             let part = partition_rows(&g, &a, method, 4, 0.05, 2);
             assert_eq!(part.n(), 400, "{}", method.name());

@@ -4,17 +4,19 @@
 //! heap, a flatter coarsening, a cheaper normalization) is checked against
 //! recorded outputs rather than against itself.
 //!
-//! The instances cover the three regimes the partitioners see:
+//! The instances cover the regimes the partitioners see:
 //! - a dense Reddit-like social graph where every column net has more pins
 //!   than the coarsening's matching cap, so coarsening stalls and greedy
 //!   growth runs on the whole hypergraph;
 //! - a road grid (low degree, deep coarsening hierarchy);
-//! - a co-purchase graph (small dense communities).
+//! - a co-purchase graph (small dense communities);
+//! - a directed citation graph whose hubs have more graph-model edges than
+//!   the FM's eager-update cap (96 nets).
 //!
 //! A mismatch prints the instance's actual rows, so a deliberate change to
 //! partition output can re-record them in one run.
 
-use pargcn_graph::gen::{community, grid, social};
+use pargcn_graph::gen::{community, grid, pref_attach, social};
 use pargcn_graph::Graph;
 use pargcn_partition::hmultilevel::coarsen::coarsen_once;
 use pargcn_partition::{partition_rows, Hypergraph, Method, Partition, DEFAULT_EPSILON};
@@ -86,9 +88,9 @@ fn golden_reddit_like() {
             ("HP", 2, 0x9f169d1802c204a5, 500),
             ("HP", 3, 0xd130a9d0891da914, 1000),
             ("HP", 4, 0x292b51dba48c84d5, 1500),
-            ("GP", 2, 0xc18278d975dac014, 500),
-            ("GP", 3, 0x408ed8deefd19737, 1000),
-            ("GP", 4, 0x2e92149fcc76b334, 1497),
+            ("GP", 2, 0x0878cc58663c7334, 500),
+            ("GP", 3, 0xe5e72ab661e80276, 1000),
+            ("GP", 4, 0x37d3dfc98d1d4697, 1495),
         ],
     );
 }
@@ -119,6 +121,25 @@ fn golden_copurchase() {
             ("GP", 2, 0x648befe7e925e094, 62),
             ("GP", 3, 0xe992a7b2face7817, 111),
             ("GP", 4, 0x61be9014f586e1d4, 189),
+        ],
+    );
+}
+
+#[test]
+fn golden_citation_like() {
+    let g = pref_attach::generate(400, 32, true, 7);
+    let model = Hypergraph::graph_model(&g.normalized_adjacency());
+    let max_degree = (0..g.n()).map(|v| model.nets_of(v).len()).max();
+    assert!(max_degree > Some(96), "max degree {max_degree:?}");
+    assert_golden(
+        &g,
+        &[
+            ("HP", 2, 0x507d2120708c9b84, 216),
+            ("HP", 3, 0x39ffc7e0db9c35b7, 438),
+            ("HP", 4, 0xfa271bc4749a0927, 653),
+            ("GP", 2, 0xb94a7df5c561dbb4, 313),
+            ("GP", 3, 0xe68263e6504ef236, 595),
+            ("GP", 4, 0x05600005d90c24c4, 833),
         ],
     );
 }

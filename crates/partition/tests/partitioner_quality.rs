@@ -3,8 +3,7 @@
 //! graph family, and the ablation options must behave monotonically.
 
 use pargcn_graph::gen::{community, er, grid, rmat};
-use pargcn_partition::graph_model::WeightedGraph;
-use pargcn_partition::{gmultilevel, hmultilevel, metrics, random, Hypergraph};
+use pargcn_partition::{hmultilevel, metrics, partition_rows, random, Hypergraph, Method};
 
 /// A 2×k grid of two well-separated clusters must be cut at the bridge.
 #[test]
@@ -42,17 +41,18 @@ fn gp_finds_the_bottleneck_cut() {
     }
     edges.push((5, 17));
     let g = pargcn_graph::Graph::from_edges(24, false, &edges);
-    let model = WeightedGraph::graph_model(&g.normalized_adjacency());
-    let part = gmultilevel::partition(&model, 2, 0.1, 1);
+    let a = g.normalized_adjacency();
+    let part = partition_rows(&g, &a, Method::Gp, 2, 0.1, 1);
     assert_eq!(
-        model.edge_cut(&part),
+        Hypergraph::graph_model(&a).connectivity_cut(&part),
         1,
         "the single bridge edge is the optimum"
     );
 }
 
 /// Family-specific quality bars relative to random partitioning at p=16
-/// (loose enough to be robust to seeds, tight enough to catch regressions).
+/// (loose enough to be robust to seeds, tight enough to catch regressions),
+/// for HP and GP alike.
 #[test]
 fn quality_bars_by_family() {
     let cases: Vec<(&str, pargcn_graph::Graph, f64)> = vec![
@@ -66,16 +66,18 @@ fn quality_bars_by_family() {
     ];
     for (name, g, bar) in cases {
         let a = g.normalized_adjacency();
-        let h = Hypergraph::column_net_model(&a);
-        let hp = hmultilevel::partition(&h, 16, 0.05, 2);
         let rp = random::partition(g.n(), 16, 2);
-        let v_hp = metrics::spmm_comm_stats(&a, &hp).total_rows as f64;
         let v_rp = metrics::spmm_comm_stats(&a, &rp).total_rows as f64;
-        assert!(
-            v_hp < bar * v_rp,
-            "{name}: HP/RP = {:.3} exceeds quality bar {bar}",
-            v_hp / v_rp
-        );
+        for method in [Method::Hp, Method::Gp] {
+            let part = partition_rows(&g, &a, method, 16, 0.05, 2);
+            let v = metrics::spmm_comm_stats(&a, &part).total_rows as f64;
+            assert!(
+                v < bar * v_rp,
+                "{name}: {}/RP = {:.3} exceeds quality bar {bar}",
+                method.name(),
+                v / v_rp
+            );
+        }
     }
 }
 
