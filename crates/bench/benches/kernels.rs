@@ -180,8 +180,13 @@ fn bench_kernel_engine(c: &mut Criterion) {
     }
 
     // Backward twins at the widest GCN shape: ΔW = HᵀG and S = G·Wᵀ.
+    // `gemm_at_relu` runs ΔW on a ReLU output, half its entries exact
+    // zeros in no pattern: a data-dependent zero branch in Aᵀ·B shows up
+    // as the gap to `gemm_at`.
     let d = 64usize;
     let h = Dense::random(n, d, &mut rng);
+    let mut h_relu = h.clone();
+    h_relu.map_inplace(|v| (v - 0.5).max(0.0));
     let g = Dense::random(n, d, &mut rng);
     let w = Dense::random(d, d, &mut rng);
     group.throughput(Throughput::Elements((n * d * d) as u64));
@@ -190,6 +195,11 @@ fn bench_kernel_engine(c: &mut Criterion) {
             BenchmarkId::new(format!("gemm_at_{name}"), format!("{n}x{d}x{d}")),
             &d,
             |b, _| b.iter(|| cctx.matmul_at(std::hint::black_box(&h), &g)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("gemm_at_relu_{name}"), format!("{n}x{d}x{d}")),
+            &d,
+            |b, _| b.iter(|| cctx.matmul_at(std::hint::black_box(&h_relu), &g)),
         );
         group.bench_with_input(
             BenchmarkId::new(format!("gemm_bt_{name}"), format!("{n}x{d}x{d}")),

@@ -12,7 +12,9 @@
 //! 3. allreduce-sums `ΔWᵏ` (line 13, binomial tree) and applies the SGD
 //!    update locally on the replicated `Wᵏ` (line 14) — every rank computes
 //!    the identical update, keeping the replicas in lock-step;
-//! 4. propagates `G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})` (line 11).
+//! 4. propagates `G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})` (line 11), with `σ'` read
+//!    from `H^{k-1}` and applied as the epilogue of the `Sᵏ` product, so
+//!    `G^{k-1}` is finished in the sweep that writes it.
 //!
 //! The forward intermediates are read from, and the gradient flow written
 //! to, the persistent [`EpochWorkspace`] — including the (small, `d×d`)
@@ -22,8 +24,8 @@ use super::workspace::EpochWorkspace;
 use super::{RankState, SpmmExchange, TAG_BWD};
 
 /// Runs backpropagation from the local output-layer loss gradient
-/// `∇_{H^L} Jₘ` (in `ws.grad`, filled by the loss), updating `st.params`
-/// in place (identically on all ranks).
+/// `∇_{H^L} Jₘ` (in `ws.g[L−1]`, written there by the loss), updating
+/// `st.params` in place (identically on all ranks).
 pub fn run<P: SpmmExchange>(
     ctx: &mut pargcn_comm::RankCtx,
     st: &mut RankState<'_, P>,
@@ -33,14 +35,11 @@ pub fn run<P: SpmmExchange>(
     let cctx = st.ctx.clone();
     let layers = st.config.layers();
 
-    // Line 2: G^L = ∇_{H^L} J ⊙ σ'(Z^L), built in place: σ' lands in the
-    // persistent G^L buffer, then the loss gradient multiplies on.
-    st.config.activation(layers).derivative_into(
-        &cctx,
-        &ws.fwd.z[layers - 1],
-        &mut ws.g[layers - 1],
-    );
-    ws.g[layers - 1].hadamard_assign(&ws.grad);
+    // Line 2: G^L = ∇_{H^L} J ⊙ σ'(Z^L), in place over the loss gradient
+    // (a no-op for the identity output layer).
+    st.config
+        .activation(layers)
+        .backprop(ws.g[layers - 1].data_mut(), ws.fwd.h[layers - 1].data());
 
     for k in (1..=layers).rev() {
         let EpochWorkspace {
@@ -69,9 +68,15 @@ pub fn run<P: SpmmExchange>(
         cctx.matmul_at_into(h_in, ag, &mut dw[k - 1]);
 
         // Sᵏ must use the *pre-update* Wᵏ (line 7 precedes line 14); it
-        // overwrites G^{k-1}'s buffer, which is dead from here on.
+        // overwrites G^{k-1}'s buffer, which is dead from here on. Line
+        // 11, G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1}), runs on each row block of Sᵏ as
+        // it lands, with σ' read from H^{k-1}.
         if k > 1 {
-            cctx.matmul_bt_into(ag, &st.params.weights[k - 1], &mut g[k - 2]);
+            let (act, h) = (st.config.activation(k - 1), &fwd.h[k - 2]);
+            let width = h.cols();
+            cctx.matmul_bt_into_with(ag, &st.params.weights[k - 1], &mut g[k - 2], |rows, s| {
+                act.backprop(s, &h.data()[rows.start * width..rows.end * width])
+            });
         }
 
         // Line 13: ΔWᵏ = allreduce-sum(ΔWᵏₘ) — binomial tree with a fixed
@@ -86,15 +91,6 @@ pub fn run<P: SpmmExchange>(
             &dw[k - 1],
             st.config.learning_rate,
         );
-
-        // Line 11: G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1}), finished in place.
-        if k > 1 {
-            let deriv_scratch = &mut ws.ax_b[k - 2];
-            st.config
-                .activation(k - 1)
-                .derivative_into(&cctx, &ws.fwd.z[k - 2], deriv_scratch);
-            ws.g[k - 2].hadamard_assign(deriv_scratch);
-        }
     }
     st.opt_state.advance();
 }

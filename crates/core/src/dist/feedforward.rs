@@ -11,7 +11,8 @@
 //!    per pass) and accumulates the off-diagonal products (lines 7–9),
 //!    releasing every payload back to its sender's pool;
 //! 4. applies the replicated `Wᵏ` (pure local DMM) and the activation
-//!    (line 10).
+//!    (line 10) — `σ` as the DMM's row-block epilogue, so `Hᵏ` is written
+//!    in the one sweep that produces `Zᵏ`, and `Zᵏ` is never stored.
 //!
 //! One deviation from the paper's literal pseudocode: lines 6/9 write
 //! `(AₘH)Wᵏ` per contribution; we accumulate `AₘH` first and apply `Wᵏ`
@@ -26,9 +27,9 @@ use crate::model::LayerOrder;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{gather, ComputeCtx, Dense};
 
-/// Runs the full feedforward pass into `ws.fwd` (`Z¹…Z^L`, `H¹…H^L`).
-/// Local kernels (SpMM/DMM/activation) run on the rank's thread pool; the
-/// SpMM's remote rows arrive through `P`'s exchange.
+/// Runs the full feedforward pass into `ws.fwd` (`H¹…H^L`). Local
+/// kernels (SpMM/DMM) run on the rank's thread pool; the SpMM's remote
+/// rows arrive through `P`'s exchange.
 pub fn run<P: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, P>, ws: &mut EpochWorkspace) {
     let cctx = &st.ctx;
     let layers = st.config.layers();
@@ -42,27 +43,29 @@ pub fn run<P: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, P>, ws: &mut E
             hw,
             ..
         } = ws;
-        let h_prev: &Dense = if k == 1 { st.h0 } else { &fwd.h[k - 2] };
+        let act = st.config.activation(k);
+        let (h_done, h_rest) = fwd.h.split_at_mut(k - 1);
+        let h_prev: &Dense = if k == 1 { st.h0 } else { &h_done[k - 2] };
+        let h_out = &mut h_rest[0];
         match st.config.order {
             LayerOrder::SpmmFirst => {
                 let ax = &mut ax_f[k - 1];
                 st.plan_f
                     .exchange_into(ctx, h_prev, tag, cctx, exchange, ax);
-                cctx.matmul_into(ax, w, &mut fwd.z[k - 1], false);
+                cctx.matmul_into_with(ax, w, h_out, false, |_, rows| act.apply(rows));
             }
             LayerOrder::DmmFirst => {
                 // §4.4: transform locally first, then aggregate with the
                 // *same* communication pattern (messages carry d_out-wide
                 // rows instead of d_in-wide ones). The aggregate IS `Zᵏ`,
-                // so the exchange accumulates straight into it.
+                // so the exchange accumulates straight into `Hᵏ`'s buffer
+                // and `σ` finishes it in place.
                 cctx.matmul_into(h_prev, w, &mut hw[k - 1], false);
                 st.plan_f
-                    .exchange_into(ctx, &hw[k - 1], tag, cctx, exchange, &mut fwd.z[k - 1]);
+                    .exchange_into(ctx, &hw[k - 1], tag, cctx, exchange, h_out);
+                act.apply(h_out.data_mut());
             }
         }
-        st.config
-            .activation(k)
-            .apply_into(cctx, &fwd.z[k - 1], &mut fwd.h[k - 1]);
     }
 }
 

@@ -107,10 +107,11 @@ pub struct RankState<'a, P = RankPlan> {
 }
 
 /// Local intermediates of one forward pass (per rank), living in the
-/// persistent [`EpochWorkspace`] and overwritten every epoch.
+/// persistent [`EpochWorkspace`] and overwritten every epoch. Only the
+/// activations are kept: `σ` is applied to `Zᵏ`'s rows as they are
+/// produced, and backpropagation reads `σ'` from `Hᵏ` (see
+/// [`crate::activations`]), so no `Zᵏ` is ever stored.
 pub struct LocalForward {
-    /// `Z¹ₘ…Z^Lₘ` (`z[k−1]` is `Zᵏₘ`).
-    pub z: Vec<Dense>,
     /// `H¹ₘ…H^Lₘ` (`h[k−1]` is `Hᵏₘ`; `H⁰ₘ` stays in
     /// [`RankState::h0`] — it never changes, so it is never copied).
     pub h: Vec<Dense>,

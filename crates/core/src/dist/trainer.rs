@@ -151,15 +151,14 @@ pub fn epoch_step<P: SpmmExchange>(
 ) -> f64 {
     feedforward::run(ctx, st, ws);
     // The rank's share of the masked cross-entropy (over the global mask
-    // count), into the workspace's persistent softmax and gradient
-    // buffers, so the loss path stays allocation-free (§9).
+    // count), its gradient written straight into Gᴸ's persistent buffer,
+    // so the loss path stays allocation-free (§9).
     let loss_local = loss::masked_cross_entropy_into(
         ws.fwd.output(),
         st.labels,
         st.mask,
         st.mask_total,
-        &mut ws.probs,
-        &mut ws.grad,
+        ws.g.last_mut().expect("at least one layer"),
     );
     // Global loss: allreduce of the local sums (stack buffer, no heap).
     let mut buf = [loss_local as f32];

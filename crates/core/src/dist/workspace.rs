@@ -2,7 +2,7 @@
 //!
 //! Every buffer one rank needs across a training run — the `A·X`
 //! accumulators of the SpMM exchange, the arrived-payload slots, the
-//! forward intermediates `Z`/`H`, the backward gradient-flow matrices —
+//! forward activations `H`, the backward gradient-flow matrices —
 //! is allocated *once* here and reused across layers, epochs,
 //! feedforward and backpropagation. Together with the comm runtime's
 //! payload pools (`pargcn_comm::bufpool`, pre-warmed by
@@ -65,26 +65,22 @@ impl ExchangeScratch {
 pub struct EpochWorkspace {
     /// Exchange scratch shared by every layer in both directions.
     pub exchange: ExchangeScratch,
-    /// Forward intermediates `Z¹…Z^L` / `H¹…H^L` (`H⁰` stays in
-    /// `RankState`, never copied).
+    /// Forward activations `H¹…H^L` (`H⁰` stays in `RankState`, never
+    /// copied).
     pub fwd: LocalForward,
     /// Forward exchange accumulators (SpmmFirst only): `ax_f[k−1]` holds
     /// this rank's block of `Â·H^{k-1}`. DmmFirst aggregates straight
-    /// into `fwd.z`, so the list is empty there.
+    /// into `fwd.h`, so the list is empty there.
     pub ax_f: Vec<Dense>,
     /// Backward exchange accumulators: `ax_b[k−1]` holds `(Â'Gᵏ)ₘ`.
     pub ax_b: Vec<Dense>,
     /// DmmFirst-only scratch for the local `H^{k-1}·Wᵏ` products.
     pub hw: Vec<Dense>,
-    /// Backward gradient flow: `g[k−1]` holds `Gᵏ`.
+    /// Backward gradient flow: `g[k−1]` holds `Gᵏ`. The loss writes its
+    /// gradient straight into `Gᴸ`'s buffer.
     pub g: Vec<Dense>,
     /// Parameter-gradient partials/sums: `dw[k−1]` holds `ΔWᵏ`.
     pub dw: Vec<Dense>,
-    /// Output-layer loss gradient `∇_{H^L} Jₘ`.
-    pub grad: Dense,
-    /// Softmax probabilities of the loss path (`softmax_rows_into`
-    /// target), so computing the epoch loss allocates nothing.
-    pub probs: Dense,
 }
 
 impl EpochWorkspace {
@@ -107,7 +103,6 @@ impl EpochWorkspace {
         EpochWorkspace {
             exchange: ExchangeScratch::new(p),
             fwd: LocalForward {
-                z: (1..=layers).map(|k| zeros(dims[k])).collect(),
                 h: (1..=layers).map(|k| zeros(dims[k])).collect(),
             },
             ax_f: match config.order {
@@ -123,8 +118,6 @@ impl EpochWorkspace {
             dw: (1..=layers)
                 .map(|k| Dense::zeros(dims[k - 1], dims[k]))
                 .collect(),
-            grad: zeros(dims[layers]),
-            probs: zeros(dims[layers]),
         }
     }
 
@@ -147,9 +140,8 @@ impl EpochWorkspace {
         cctx.reserve_pack(n.max(dmax) * dmax);
         for m in self
             .fwd
-            .z
+            .h
             .iter_mut()
-            .chain(self.fwd.h.iter_mut())
             .chain(self.ax_f.iter_mut())
             .chain(self.ax_b.iter_mut())
             .chain(self.hw.iter_mut())
@@ -157,8 +149,6 @@ impl EpochWorkspace {
         {
             m.resize_rows(n);
         }
-        self.grad.resize_rows(n);
-        self.probs.resize_rows(n);
     }
 }
 

@@ -33,10 +33,10 @@ pub struct SerialTrainer {
     ctx: ComputeCtx,
 }
 
-/// Intermediate state of one forward pass, kept for backpropagation.
+/// Intermediate state of one forward pass, kept for backpropagation —
+/// the activations only, since `σ'` is read from `H` (see
+/// [`crate::activations`]).
 pub struct ForwardState {
-    /// `Z¹…Z^L` (pre-activation).
-    pub z: Vec<Dense>,
     /// `H⁰…H^L` (post-activation; `h[0]` is the input).
     pub h: Vec<Dense>,
 }
@@ -94,30 +94,25 @@ impl SerialTrainer {
         assert_eq!(h0.rows(), self.a.n_rows(), "feature row count mismatch");
         assert_eq!(h0.cols(), self.config.dims[0], "input width mismatch");
         let cctx = &self.ctx;
-        let mut z = Vec::with_capacity(self.config.layers());
         let mut h = Vec::with_capacity(self.config.layers() + 1);
         h.push(h0.clone());
         for k in 1..=self.config.layers() {
             let w = &self.params.weights[k - 1];
-            let zk = match self.config.order {
+            let mut hk = match self.config.order {
                 LayerOrder::SpmmFirst => cctx.matmul(&cctx.spmm(&self.a, &h[k - 1]), w),
                 LayerOrder::DmmFirst => cctx.spmm(&self.a, &cctx.matmul(&h[k - 1], w)),
             };
-            let mut hk = Dense::zeros(zk.rows(), zk.cols());
-            self.config.activation(k).apply_into(cctx, &zk, &mut hk);
-            z.push(zk);
+            self.config.activation(k).apply(hk.data_mut());
             h.push(hk);
         }
-        ForwardState { z, h }
+        ForwardState { h }
     }
 
-    /// `g ⊙= σₖ'(z)`, with `σ'` computed into a scratch first.
-    fn mul_derivative(&self, g: &mut Dense, k: usize, z: &Dense) {
-        let mut deriv = Dense::zeros(z.rows(), z.cols());
+    /// `g ⊙= σₖ'(Zᵏ)`, with `σ'` read from `Hᵏ`.
+    fn mul_derivative(&self, g: &mut Dense, k: usize, state: &ForwardState) {
         self.config
             .activation(k)
-            .derivative_into(&self.ctx, z, &mut deriv);
-        g.hadamard_assign(&deriv);
+            .backprop(g.data_mut(), state.h[k].data());
     }
 
     /// Backpropagation (paper Eqs. 2–5) given the output-layer loss
@@ -132,7 +127,7 @@ impl SerialTrainer {
         let mut delta_w = vec![Dense::zeros(0, 0); layers];
         // G^L = ∇_{H^L} J ⊙ σ'(Z^L)  (Eq. 2)
         let mut g = grad_hl.clone();
-        self.mul_derivative(&mut g, layers, &state.z[layers - 1]);
+        self.mul_derivative(&mut g, layers, state);
         for k in (1..=layers).rev() {
             // ΔWᵏ = (H^{k-1})ᵀ (Âᵀ Gᵏ)   (Eq. 4; Âᵀ for directed)
             let ag = cctx.spmm(&self.a_back, &g);
@@ -140,7 +135,7 @@ impl SerialTrainer {
             if k > 1 {
                 // Sᵏ = (ÂᵀGᵏ)(Wᵏ)ᵀ; G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})  (Eq. 3)
                 g = cctx.matmul_bt(&ag, &self.params.weights[k - 1]);
-                self.mul_derivative(&mut g, k - 1, &state.z[k - 2]);
+                self.mul_derivative(&mut g, k - 1, state);
             }
         }
         delta_w
@@ -188,7 +183,6 @@ mod tests {
         let t = SerialTrainer::new(&g, GcnConfig::two_layer(3, 4, 2), 1);
         let h0 = Dense::zeros(5, 3);
         let state = t.forward(&h0);
-        assert_eq!(state.z.len(), 2);
         assert_eq!(state.h.len(), 3);
         assert_eq!((state.h[2].rows(), state.h[2].cols()), (5, 2));
     }

@@ -147,14 +147,12 @@ pub fn train_distributed(
         let mut w = w_init.clone();
         let mut losses = Vec::with_capacity(epochs);
         let mut logits = Dense::zeros(hp.rows(), classes);
-        let mut probs = Dense::zeros(hp.rows(), classes);
         let mut grad = Dense::zeros(hp.rows(), classes);
         let mut dw = Dense::zeros(d, classes);
         for _ in 0..epochs {
             cctx.matmul_into(&hp, &w, &mut logits, false);
-            let loss_local = loss::masked_cross_entropy_into(
-                &logits, l_local, m_local, mask_total, &mut probs, &mut grad,
-            );
+            let loss_local =
+                loss::masked_cross_entropy_into(&logits, l_local, m_local, mask_total, &mut grad);
             let mut lbuf = [loss_local as f32];
             ctx.allreduce_sum(&mut lbuf);
             losses.push(lbuf[0] as f64);

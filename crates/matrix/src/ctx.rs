@@ -2,16 +2,19 @@
 //! intra-rank thread parallelism and kernel selection.
 //!
 //! The paper's processors each run multithreaded SuiteSparse:GraphBLAS
-//! kernels; [`ComputeCtx`] is our equivalent. Every GEMM, SpMM and
-//! element-wise activation goes through its `_into` methods, which write
-//! into caller buffers. Each one checks the shapes, meters the FLOPs,
-//! and splits the output rows across a shared [`Pool`] (serially below
-//! [`MIN_PARALLEL_WORK`]). It then runs the selected **kernel engine**'s
-//! row-range body ([`KernelKind`]) on each chunk: the naive reference
-//! loops, or the cache-blocked engine ([`crate::gemm`],
-//! [`crate::spmm_kernel`]). Threading never leaks into the engines. One
-//! context is built per simulated rank, so `p` ranks × `t` threads gives
-//! the paper's hybrid execution model.
+//! kernels; [`ComputeCtx`] is our equivalent. Every GEMM and SpMM goes
+//! through its `_into` methods, which write into caller buffers. Each one
+//! checks the shapes, meters the FLOPs, and splits the output rows across
+//! a shared [`Pool`] (serially below [`MIN_PARALLEL_WORK`]). It then runs
+//! the selected **kernel engine**'s row-range body ([`KernelKind`]) on
+//! each chunk: the naive reference loops, or the cache-blocked engine
+//! ([`crate::gemm`], [`crate::spmm_kernel`]). The element-wise
+//! activations ride along as **epilogues** (`matmul_into_with`,
+//! `matmul_bt_into_with`): run on each block of output rows as soon as
+//! it is written, so they cost no extra sweep over the output. Threading
+//! never leaks into the engines. One context is built per simulated
+//! rank, so `p` ranks × `t` threads gives the paper's hybrid execution
+//! model.
 //!
 //! Every kernel dispatched here produces **bitwise identical** results
 //! regardless of engine and thread count: per output element the
@@ -223,6 +226,24 @@ impl ComputeCtx {
 
     /// `out (+)= a × b` on the selected engine.
     pub fn matmul_into(&self, a: &Dense, b: &Dense, out: &mut Dense, accumulate: bool) {
+        self.matmul_into_with(a, b, out, accumulate, |_, _| {});
+    }
+
+    /// `out (+)= a × b`, then `epi(rows, out_rows)` on each block of
+    /// output rows right after the block is produced, while it is still
+    /// cache-hot — the forward pass's `Hᵏ = σ(Zᵏ)` without a second sweep.
+    /// `rows` are global output-row indices and `out_rows` their slice of
+    /// `out`. Bitwise equal to the product followed by a separate pass of
+    /// `epi` over all rows, on both engines at every thread count,
+    /// whenever `epi` maps each row independently.
+    pub fn matmul_into_with(
+        &self,
+        a: &Dense,
+        b: &Dense,
+        out: &mut Dense,
+        accumulate: bool,
+        epi: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    ) {
         assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
         assert_eq!(out.rows(), a.rows(), "matmul output rows mismatch");
         assert_eq!(out.cols(), b.cols(), "matmul output cols mismatch");
@@ -238,10 +259,10 @@ impl ComputeCtx {
         };
         let out = out.data_mut();
         self.for_row_chunks(out, n, m * k * n, Split::Even(m), |rows, out| {
-            match self.kernel {
+            with_epilogue(rows, out, n, &epi, |rows, out| match self.kernel {
                 KernelKind::Naive => naive::gemm_rows(a, b, rows, out, accumulate),
                 KernelKind::Blocked => gemm::gemm_rows(a, rows, panels, n, out, accumulate),
-            }
+            })
         });
     }
 
@@ -255,6 +276,19 @@ impl ComputeCtx {
     /// `out = a × bᵀ` on the selected engine (`b` is `n×k`; `Bᵀ` is never
     /// materialized) — backpropagation's `S = (ÂG)·Wᵀ`.
     pub fn matmul_bt_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
+        self.matmul_bt_into_with(a, b, out, |_, _| {});
+    }
+
+    /// `out = a × bᵀ` with a row-block epilogue, as
+    /// [`ComputeCtx::matmul_into_with`] — backpropagation's
+    /// `G^{k-1} = Sᵏ ⊙ σ'(H^{k-1})` formed as `Sᵏ`'s rows land.
+    pub fn matmul_bt_into_with(
+        &self,
+        a: &Dense,
+        b: &Dense,
+        out: &mut Dense,
+        epi: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    ) {
         assert_eq!(a.cols(), b.cols(), "matmul_bt dimension mismatch");
         assert_eq!(
             (out.rows(), out.cols()),
@@ -273,10 +307,10 @@ impl ComputeCtx {
         };
         let out = out.data_mut();
         self.for_row_chunks(out, n, m * k * n, Split::Even(m), |rows, out| {
-            match self.kernel {
+            with_epilogue(rows, out, n, &epi, |rows, out| match self.kernel {
                 KernelKind::Naive => naive::gemm_bt_rows(a, b, rows, out),
                 KernelKind::Blocked => gemm::gemm_rows(a, rows, panels, n, out, false),
-            }
+            })
         });
     }
 
@@ -340,30 +374,37 @@ impl ComputeCtx {
         self.spmm_into(a, h, &mut out, false);
         out
     }
+}
 
-    /// `out = f(src)` element-wise (the activations `σ`, `σ'`); the same
-    /// on both engines and metered as zero FLOPs.
-    pub fn map_into(&self, src: &Dense, out: &mut Dense, f: impl Fn(f32) -> f32 + Sync) {
-        assert_eq!(
-            (src.rows(), src.cols()),
-            (out.rows(), out.cols()),
-            "map_into shape mismatch"
-        );
-        let (m, width) = (src.rows(), src.cols());
-        let out = out.data_mut();
-        self.for_row_chunks(out, width, m * width, Split::Even(m), |rows, out| {
-            let src = &src.data()[rows.start * width..rows.end * width];
-            for (o, &v) in out.iter_mut().zip(src) {
-                *o = f(v);
-            }
-        });
+/// Output rows per epilogue block: small enough that a block of the
+/// widest layer is still in L1/L2 when the epilogue reads it back.
+const EPI_ROWS: usize = 64;
+
+/// Runs `body` over `rows` (whose output is `out`, `width` floats per
+/// row) in blocks of [`EPI_ROWS`], each followed at once by `epi` on the
+/// same block. Splitting rows is bitwise invisible to the products, so
+/// only the epilogue's timing changes, never a bit.
+fn with_epilogue(
+    rows: Range<usize>,
+    out: &mut [f32],
+    width: usize,
+    epi: &impl Fn(Range<usize>, &mut [f32]),
+    body: impl Fn(Range<usize>, &mut [f32]),
+) {
+    let mut r0 = rows.start;
+    while r0 < rows.end {
+        let r1 = (r0 + EPI_ROWS).min(rows.end);
+        let block = &mut out[(r0 - rows.start) * width..(r1 - rows.start) * width];
+        body(r0..r1, block);
+        epi(r0..r1, block);
+        r0 = r1;
     }
 }
 
 /// How a product's output rows are chunked across the pool.
 #[derive(Clone, Copy)]
 enum Split<'a> {
-    /// [`even_chunks`] over this many output rows (GEMM, map).
+    /// [`even_chunks`] over this many output rows (GEMM).
     Even(usize),
     /// [`weighted_chunks`] over a CSR `indptr`: balanced by nonzeros (SpMM).
     Nnz(&'a [usize]),
@@ -437,8 +478,6 @@ mod tests {
         let _ = ctx.matmul(&a, &b); // 2*10*4*3 = 240
         let clone = ctx.clone();
         let _ = clone.matmul_bt(&b, &b); // 2*4*3*4 = 96
-        let mut mapped = Dense::zeros(4, 3);
-        ctx.map_into(&b, &mut mapped, |v| v.max(0.0)); // activations: none
         assert_eq!(ctx.flops(), 240 + 96);
         assert_eq!(ctx.take_flops(), 336);
         assert_eq!(ctx.flops(), 0);

@@ -157,19 +157,6 @@ impl Dense {
         out
     }
 
-    /// In-place element-wise (Hadamard) multiply `self ⊙= b`, as used for
-    /// `G = S ⊙ σ'(Z)` (Eq. 3).
-    pub fn hadamard_assign(&mut self, b: &Dense) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (b.rows, b.cols),
-            "hadamard shape mismatch"
-        );
-        for (x, &y) in self.data.iter_mut().zip(&b.data) {
-            *x *= y;
-        }
-    }
-
     /// `self += b`.
     pub fn add_assign(&mut self, b: &Dense) {
         assert_eq!(
@@ -325,12 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_updates() {
+    fn sub_scaled_assign_updates() {
         let a = Dense::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Dense::from_vec(2, 2, vec![2.0, 0.5, 1.0, -1.0]);
-        let mut h = a.clone();
-        h.hadamard_assign(&b);
-        assert_eq!(h.data(), &[2.0, 1.0, 3.0, -4.0]);
         let mut w = a.clone();
         w.sub_scaled_assign(&b, 2.0);
         assert_eq!(w.data(), &[-3.0, 1.0, 1.0, 6.0]);

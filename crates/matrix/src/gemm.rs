@@ -1,6 +1,7 @@
 //! Cache-blocked GEMM engine: the blocked row-range bodies behind
 //! [`crate::ComputeCtx`]'s three dense products (which own the shape
-//! checks and the split of output rows across threads).
+//! checks, the split of output rows across threads, and the row-block
+//! epilogues that fuse `σ` and `σ'⊙` into `A·B` and `A·Bᵀ`).
 //!
 //! The classic packing scheme (Goto & van de Geijn): the right-hand
 //! operand is copied once per call into `NR`-wide **column panels** laid
@@ -13,12 +14,13 @@
 //!
 //! **Bitwise contract** (DESIGN.md §10): every output element is produced
 //! by a single accumulator summing its `k` terms in strictly ascending
-//! order — exactly the naive kernels' per-element order. The naive
-//! kernels' `a == 0.0 → skip` shortcut is a bitwise no-op on the data the
-//! trainers produce (a `±0.0·b` term never changes an accumulator that
-//! is not `-0.0`, and ascending sums started from `+0.0` can never reach
-//! `-0.0`), so blocked and naive agree bit-for-bit, at every thread
-//! count. The property suite (`tests/kernel_engine.rs`) pins this across
+//! order — exactly the naive kernels' per-element order. Every blocked
+//! body multiplies through zeros; the naive kernels' `a == 0.0 → skip`
+//! shortcut is a bitwise no-op on finite data (a `±0.0·b` term never
+//! changes an accumulator that is not `-0.0`, and ascending sums started
+//! from `+0.0` can never reach `-0.0`), so blocked and naive agree
+//! bit-for-bit, at every thread count, whenever `b` is finite. The
+//! property suite (`tests/kernel_engine.rs`) pins this across
 //! adversarial shapes.
 //!
 //! The transposed-operand variants share the machinery where it helps:
@@ -109,32 +111,29 @@ pub(crate) fn pack_bt<'p>(b: &Dense, pack: &'p mut PackBuf) -> &'p [f32] {
 /// steps before spilling back to the (cache-hot) output.
 const AT_IB: usize = 16;
 
-/// One `W`-wide output-column tile of `AT_IB` (or fewer) outer-product
-/// updates: `acc[jj] (+)= a[i][j] · b[i][n0+jj]` for `i ∈ [i0, ie)`,
-/// ascending. `W` is constant so the accumulators stay in registers and
-/// the body vectorizes. The `aij == 0.0` skip mirrors the naive kernel's
-/// control flow exactly, so the two are bitwise identical even on
-/// non-finite inputs.
-#[allow(clippy::too_many_arguments)]
+/// One `W`-wide output-column tile of one input-row block:
+/// `acc[jj] (+)= a[i][j] · b[i][n0+jj]` over the block's rows `i`,
+/// ascending. `a_blk`/`b_blk` hold just the block's rows (`m`/`n` floats
+/// each), so the row walk needs no per-row index arithmetic. `W` is
+/// constant so the accumulators stay in registers and the body
+/// vectorizes. There is no `aij == 0.0` skip: on a ReLU output `a` half
+/// the entries are zeros in no pattern, and the branch would mispredict
+/// on them. Multiplying through adds `±0.0` terms, which leave the
+/// accumulator's bits alone while `b` is finite (module docs).
 #[inline]
 fn at_tile_pass<const W: usize>(
-    a: &[f32],
+    a_blk: &[f32],
     m: usize,
     j: usize,
-    b: &[f32],
+    b_blk: &[f32],
     n: usize,
-    i0: usize,
-    ie: usize,
     n0: usize,
     out_row: &mut [f32],
 ) {
-    let mut acc: [f32; W] = out_row.try_into().unwrap();
-    for i in i0..ie {
-        let aij = a[i * m + j];
-        if aij == 0.0 {
-            continue;
-        }
-        let br: &[f32; W] = b[i * n + n0..i * n + n0 + W].try_into().unwrap();
+    let mut acc: [f32; W] = out_row.try_into().expect("the caller hands a W-wide tile");
+    for (ar, br) in a_blk.chunks_exact(m).zip(b_blk.chunks_exact(n)) {
+        let aij = ar[j];
+        let br: &[f32; W] = br[n0..n0 + W].try_into().expect("a W-long slice");
         for jj in 0..W {
             acc[jj] += aij * br[jj];
         }
@@ -143,30 +142,23 @@ fn at_tile_pass<const W: usize>(
 }
 
 /// Dynamic-width edge tile for the sub-16 remainder columns.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn at_edge_pass(
-    a: &[f32],
+    a_blk: &[f32],
     m: usize,
     j: usize,
-    b: &[f32],
+    b_blk: &[f32],
     n: usize,
-    i0: usize,
-    ie: usize,
     n0: usize,
     out_row: &mut [f32],
 ) {
     let w = out_row.len();
     let mut acc = [0.0f32; 16];
     acc[..w].copy_from_slice(out_row);
-    for i in i0..ie {
-        let aij = a[i * m + j];
-        if aij == 0.0 {
-            continue;
-        }
-        let br = &b[i * n + n0..i * n + n0 + w];
-        for (jj, &bv) in br.iter().enumerate() {
-            acc[jj] += aij * bv;
+    for (ar, br) in a_blk.chunks_exact(m).zip(b_blk.chunks_exact(n)) {
+        let aij = ar[j];
+        for (acc, &bv) in acc.iter_mut().zip(&br[n0..n0 + w]) {
+            *acc += aij * bv;
         }
     }
     out_row.copy_from_slice(&acc[..w]);
@@ -178,8 +170,9 @@ fn at_edge_pass(
 /// output stays cache-hot (it is `a.cols × b.cols` — feature-sized), both
 /// inputs are streamed through exactly once, and every output element
 /// still sums its terms in ascending input-row order — the naive
-/// engine's order, bit for bit. Packing either operand would copy more
-/// memory than the whole multiply reads, so this body is pack-free.
+/// engine's order, bit for bit (on finite `b`; see [`at_tile_pass`]).
+/// Packing either operand would copy more memory than the whole multiply
+/// reads, so this body is pack-free.
 pub(crate) fn at_rows(a: &Dense, b: &Dense, js: Range<usize>, out_rows: &mut [f32]) {
     let (r, m, n) = (a.rows(), a.cols(), b.cols());
     let (a, b) = (a.data(), b.data());
@@ -187,6 +180,7 @@ pub(crate) fn at_rows(a: &Dense, b: &Dense, js: Range<usize>, out_rows: &mut [f3
     let mut i0 = 0;
     while i0 < r {
         let ie = (i0 + AT_IB).min(r);
+        let (a_blk, b_blk) = (&a[i0 * m..ie * m], &b[i0 * n..ie * n]);
         for j in js.clone() {
             let local = j - js.start;
             let mut n0 = 0;
@@ -199,10 +193,10 @@ pub(crate) fn at_rows(a: &Dense, b: &Dense, js: Range<usize>, out_rows: &mut [f3
                 };
                 let out_row = &mut out_rows[local * n + n0..local * n + n0 + w];
                 match w {
-                    64 => at_tile_pass::<64>(a, m, j, b, n, i0, ie, n0, out_row),
-                    32 => at_tile_pass::<32>(a, m, j, b, n, i0, ie, n0, out_row),
-                    16 => at_tile_pass::<16>(a, m, j, b, n, i0, ie, n0, out_row),
-                    _ => at_edge_pass(a, m, j, b, n, i0, ie, n0, out_row),
+                    64 => at_tile_pass::<64>(a_blk, m, j, b_blk, n, n0, out_row),
+                    32 => at_tile_pass::<32>(a_blk, m, j, b_blk, n, n0, out_row),
+                    16 => at_tile_pass::<16>(a_blk, m, j, b_blk, n, n0, out_row),
+                    _ => at_edge_pass(a_blk, m, j, b_blk, n, n0, out_row),
                 }
                 n0 += w;
             }
@@ -216,7 +210,9 @@ pub(crate) fn at_rows(a: &Dense, b: &Dense, js: Range<usize>, out_rows: &mut [f3
 /// vectorizes. `a` starts at the tile's first row (stride `lda`); `out`
 /// starts at the tile's first output row (stride `ldc`, column offset
 /// `j0`). Each accumulator sums its terms in ascending `kk` — the
-/// bitwise-canonical order.
+/// bitwise-canonical order. The `k` loop zips the panel's `NR`-float
+/// lines with the tile's `MR` row slices, so it carries no bounds checks
+/// and keeps every row pointer in a register.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_full(
@@ -235,10 +231,11 @@ fn micro_full(
             acc_row.copy_from_slice(&out[ii * ldc + j0..ii * ldc + j0 + NR]);
         }
     }
-    for kk in 0..k {
-        let bp: &[f32; NR] = panel[kk * NR..kk * NR + NR].try_into().unwrap();
-        for (ii, acc_row) in acc.iter_mut().enumerate() {
-            let aik = a[ii * lda + kk];
+    let [r0, r1, r2, r3]: [&[f32]; MR] = std::array::from_fn(|ii| &a[ii * lda..ii * lda + k]);
+    let a_cols = r0.iter().zip(r1).zip(r2.iter().zip(r3));
+    for (bp, ((&a0, &a1), (&a2, &a3))) in panel.chunks_exact(NR).zip(a_cols) {
+        let bp: &[f32; NR] = bp.try_into().expect("chunks_exact yields NR floats");
+        for (acc_row, aik) in acc.iter_mut().zip([a0, a1, a2, a3]) {
             for jj in 0..NR {
                 acc_row[jj] += aik * bp[jj];
             }

@@ -11,9 +11,10 @@
 //!   and its transposed variants), used for applying the replicated
 //!   parameter matrices `W` and forming parameter gradients `ΔW = Hᵀ(ÂG)`.
 //!
-//! Both, and the element-wise activations, run only through
-//! [`ComputeCtx`], which splits the output rows across the rank's thread
-//! pool and runs the selected engine's row-range body on each chunk.
+//! Both run only through [`ComputeCtx`], which splits the output rows
+//! across the rank's thread pool and runs the selected engine's
+//! row-range body on each chunk. The element-wise activations ride on
+//! the DMMs as row-block epilogues ([`ComputeCtx::matmul_into_with`]).
 //!
 //! The crate also implements the row-selection "semiring" multiply the paper
 //! performs with SuiteSparse:GraphBLAS's `GxB_PLUS_SECOND` (`Xₘₙ ⊗ H`),

@@ -121,6 +121,53 @@ fn matmul_bt_bitwise_equal_across_thread_counts() {
     });
 }
 
+/// `out = relu(out) ⊙ [side > 0]` on the handed rows: row-dependent, so
+/// the global row indices each block gets are checked too.
+fn side_epilogue(side: &Dense) -> impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync + '_ {
+    move |rows, out| {
+        let w = side.cols();
+        for (o, &s) in out
+            .iter_mut()
+            .zip(&side.data()[rows.start * w..rows.end * w])
+        {
+            *o = o.max(0.0) * if s > 0.0 { 1.0 } else { 0.0 };
+        }
+    }
+}
+
+#[test]
+fn epilogue_products_bitwise_equal_across_thread_counts() {
+    let ctxs = contexts();
+    qc::run(24, |rng| {
+        // 0 rows, or enough rows that every pool size splits the product
+        // into chunks of several epilogue blocks with ragged ends.
+        let m = if rng.gen_range(0..6u32) == 0 {
+            0
+        } else {
+            rng.gen_range(1..700)
+        };
+        let k = rng.gen_range(1..48);
+        let n = rng.gen_range(1..48);
+        let a = Dense::from_fn(m, k, |_, _| rng.gen_range(-1.0..1.0f32));
+        let b = Dense::from_fn(k, n, |_, _| rng.gen_range(-1.0..1.0f32));
+        let bt = Dense::from_fn(n, k, |_, _| rng.gen_range(-1.0..1.0f32));
+        let side = Dense::from_fn(m, n, |_, _| rng.gen_range(-1.0..1.0f32));
+        let epi = side_epilogue(&side);
+        // The reference: naive on one thread, then a separate pass.
+        let mut want = reference().matmul(&a, &b);
+        epi(0..m, want.data_mut());
+        let mut want_bt = reference().matmul_bt(&a, &bt);
+        epi(0..m, want_bt.data_mut());
+        for ctx in &ctxs {
+            let mut out = Dense::zeros(m, n);
+            ctx.matmul_into_with(&a, &b, &mut out, false, &epi);
+            assert_eq!(bits(&out), bits(&want), "matmul_with, {}", label(ctx));
+            ctx.matmul_bt_into_with(&a, &bt, &mut out, &epi);
+            assert_eq!(bits(&out), bits(&want_bt), "matmul_bt_with, {}", label(ctx));
+        }
+    });
+}
+
 #[test]
 fn matmul_at_bitwise_equal_across_thread_counts() {
     let ctxs = contexts();
@@ -135,27 +182,6 @@ fn matmul_at_bitwise_equal_across_thread_counts() {
             let mut out = Dense::zeros(m, k);
             ctx.matmul_at_into(&a, &b, &mut out);
             assert_eq!(bits(&out), expected, "matmul_at, {}", label(ctx));
-        }
-    });
-}
-
-#[test]
-fn map_bitwise_equal_across_thread_counts() {
-    let ctxs = contexts();
-    qc::run(16, |rng| {
-        let m = rng.gen_range(1..500);
-        let n = rng.gen_range(1..64);
-        let a = Dense::random(m, n, rng);
-        let f = |v: f32| (v - 0.5).max(0.0);
-        let mut expected = Dense::zeros(m, n);
-        reference().map_into(&a, &mut expected, f);
-        let mut serial = a.clone();
-        serial.map_inplace(f);
-        assert_eq!(bits(&serial), bits(&expected), "map_inplace");
-        for ctx in &ctxs {
-            let mut out = Dense::zeros(m, n);
-            ctx.map_into(&a, &mut out, f);
-            assert_eq!(bits(&out), bits(&expected), "map, {}", label(ctx));
         }
     });
 }

@@ -127,6 +127,90 @@ fn gemm_accumulate_blocked_equals_naive_bitwise() {
     });
 }
 
+/// A row-dependent epilogue, like backprop's `g ⊙= σ'(h)`: it reads a
+/// side matrix at the global rows it is handed, so a wrong row offset in
+/// the block dispatch shows up as a wrong bit.
+fn side_epilogue(side: &Dense) -> impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync + '_ {
+    move |rows, out| {
+        let w = side.cols();
+        for (o, &s) in out
+            .iter_mut()
+            .zip(&side.data()[rows.start * w..rows.end * w])
+        {
+            *o = o.max(0.0) * if s > 0.0 { 1.0 } else { 0.0 };
+        }
+    }
+}
+
+/// Output-row counts for the epilogue tests: none, under one epilogue
+/// block, and several blocks with a ragged tail.
+fn epilogue_rows(rng: &mut StdRng) -> usize {
+    match rng.gen_range(0..4u32) {
+        0 => 0,
+        1 => rng.gen_range(1..64),
+        _ => rng.gen_range(65..300),
+    }
+}
+
+#[test]
+fn gemm_epilogues_equal_product_then_pass_bitwise() {
+    qc::run(24, |rng| {
+        let (m, k, n) = (epilogue_rows(rng), dim_nz(rng), dim(rng));
+        let a = dense(rng, m, k);
+        let b = dense(rng, k, n);
+        let bt = dense(rng, n, k);
+        let side = dense(rng, m, n);
+        let epi = side_epilogue(&side);
+        for kernel in [KernelKind::Naive, KernelKind::Blocked] {
+            for t in THREAD_COUNTS {
+                let c = ctx(kernel, t);
+                let label = format!("{kernel:?} {m}x{k}x{n} t={t}");
+                for accumulate in [false, true] {
+                    // Accumulators start from a prior product, as in training.
+                    let mut want = c.matmul(&a, &b);
+                    let mut got = want.clone();
+                    c.matmul_into(&a, &b, &mut want, accumulate);
+                    epi(0..m, want.data_mut());
+                    c.matmul_into_with(&a, &b, &mut got, accumulate, &epi);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "matmul_with acc={accumulate} {label}"
+                    );
+                }
+                let mut want = c.matmul_bt(&a, &bt);
+                epi(0..m, want.data_mut());
+                let mut got = Dense::zeros(m, n);
+                c.matmul_bt_into_with(&a, &bt, &mut got, &epi);
+                assert_eq!(bits(&got), bits(&want), "matmul_bt_with {label}");
+            }
+        }
+    });
+}
+
+#[test]
+fn gemm_at_on_relu_sparse_input_blocked_equals_naive_bitwise() {
+    // ΔW = Hᵀ·(ÂG) with H a ReLU output: about half exact zeros, some of
+    // them -0.0. The blocked engine multiplies through them, the naive
+    // one skips them; on finite data both give the same bits.
+    qc::run(32, |rng| {
+        let (r, m, n) = (dim(rng), dim(rng), dim(rng));
+        let a = Dense::from_fn(r, m, |_, _| match rng.gen_range(0..4u32) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => rng.gen_range(-2.0..2.0f32).max(0.0),
+        });
+        let b = dense(rng, r, n);
+        for t in THREAD_COUNTS {
+            assert_eq!(
+                bits(&ctx(KernelKind::Naive, t).matmul_at(&a, &b)),
+                bits(&ctx(KernelKind::Blocked, t).matmul_at(&a, &b)),
+                "relu matmul_at {r}x{m}x{n} t={t}"
+            );
+        }
+    });
+}
+
 #[test]
 fn spmm_blocked_equals_naive_bitwise() {
     qc::run(48, |rng| {

@@ -7,7 +7,8 @@
 //! `criterion_group!`/`criterion_main!` macros), so a bench file only
 //! swaps its imports. Methodology: a fixed warm-up, then N samples where
 //! each sample times a batch of iterations sized so one sample lasts at
-//! least ~2ms; median, p95, mean, and min over samples are reported.
+//! least ~2ms; median, p95, mean, and min over samples are reported, as
+//! f64 seconds per iteration so sub-nanosecond bodies keep their time.
 //!
 //! Output: one aligned text line per benchmark, and — with `--json
 //! <path>` after `--`, or `PARGCN_BENCH_JSON=<path>` — machine-readable
@@ -61,17 +62,18 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// Statistics for one completed benchmark.
+/// Statistics for one completed benchmark; times are seconds per
+/// iteration.
 #[derive(Clone, Debug)]
 pub struct BenchStats {
     pub group: String,
     pub name: String,
     pub samples: usize,
     pub iters_per_sample: u64,
-    pub median: Duration,
-    pub mean: Duration,
-    pub min: Duration,
-    pub p95: Duration,
+    pub median: f64,
+    pub mean: f64,
+    pub min: f64,
+    pub p95: f64,
     pub throughput: Option<Throughput>,
 }
 
@@ -86,10 +88,10 @@ impl BenchStats {
 
     fn to_json(&self) -> Json {
         let mut metrics = vec![
-            ("median_s".to_string(), Json::Num(self.median.as_secs_f64())),
-            ("mean_s".to_string(), Json::Num(self.mean.as_secs_f64())),
-            ("min_s".to_string(), Json::Num(self.min.as_secs_f64())),
-            ("p95_s".to_string(), Json::Num(self.p95.as_secs_f64())),
+            ("median_s".to_string(), Json::Num(self.median)),
+            ("mean_s".to_string(), Json::Num(self.mean)),
+            ("min_s".to_string(), Json::Num(self.min)),
+            ("p95_s".to_string(), Json::Num(self.p95)),
             ("samples".to_string(), Json::Num(self.samples as f64)),
             (
                 "iters_per_sample".to_string(),
@@ -99,12 +101,11 @@ impl BenchStats {
         match self.throughput {
             Some(Throughput::Elements(n)) => metrics.push((
                 "elements_per_s".to_string(),
-                Json::Num(n as f64 / self.median.as_secs_f64().max(1e-12)),
+                Json::Num(n as f64 / self.median),
             )),
-            Some(Throughput::Bytes(n)) => metrics.push((
-                "bytes_per_s".to_string(),
-                Json::Num(n as f64 / self.median.as_secs_f64().max(1e-12)),
-            )),
+            Some(Throughput::Bytes(n)) => {
+                metrics.push(("bytes_per_s".to_string(), Json::Num(n as f64 / self.median)))
+            }
             None => {}
         }
         Json::Obj(vec![
@@ -238,19 +239,21 @@ impl Criterion {
             f(&mut b);
         }
 
-        let mut times: Vec<Duration> = Vec::with_capacity(samples);
+        // Seconds per iteration in f64: a body faster than 1 ns keeps its
+        // sub-nanosecond time instead of truncating to zero.
+        let mut times: Vec<f64> = Vec::with_capacity(samples);
         for _ in 0..samples {
             let mut b = Bencher {
                 iters: iters_per_sample,
                 elapsed: Duration::ZERO,
             };
             f(&mut b);
-            times.push(b.elapsed / iters_per_sample as u32);
+            times.push(b.elapsed.as_secs_f64() / iters_per_sample as f64);
         }
-        times.sort_unstable();
+        times.sort_unstable_by(f64::total_cmp);
         let median = times[times.len() / 2];
         let p95 = times[((times.len() as f64 * 0.95) as usize).min(times.len() - 1)];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
+        let mean = times.iter().sum::<f64>() / times.len() as f64;
         let min = times[0];
         let stats = BenchStats {
             group,
@@ -313,27 +316,27 @@ fn resolve_output_path(path: &str) -> std::path::PathBuf {
 
 fn print_stats(s: &BenchStats) {
     let extra = match s.throughput {
-        Some(Throughput::Elements(n)) => {
-            format!(
-                "  {:>10.3e} elem/s",
-                n as f64 / s.median.as_secs_f64().max(1e-12)
-            )
-        }
-        Some(Throughput::Bytes(n)) => {
-            format!(
-                "  {:>10.3e} B/s",
-                n as f64 / s.median.as_secs_f64().max(1e-12)
-            )
-        }
+        Some(Throughput::Elements(n)) => format!("  {:>10.3e} elem/s", n as f64 / s.median),
+        Some(Throughput::Bytes(n)) => format!("  {:>10.3e} B/s", n as f64 / s.median),
         None => String::new(),
     };
     eprintln!(
-        "{:<48} median {:>12?}  p95 {:>12?}  min {:>12?}{extra}",
+        "{:<48} median {:>12}  p95 {:>12}  min {:>12}{extra}",
         s.full_name(),
-        s.median,
-        s.p95,
-        s.min
+        fmt_secs(s.median),
+        fmt_secs(s.p95),
+        fmt_secs(s.min)
     );
+}
+
+/// A time in seconds with a readable unit, keeping sub-ns digits.
+fn fmt_secs(s: f64) -> String {
+    match s {
+        s if s < 1e-6 => format!("{:.3}ns", s * 1e9),
+        s if s < 1e-3 => format!("{:.3}µs", s * 1e6),
+        s if s < 1.0 => format!("{:.3}ms", s * 1e3),
+        s => format!("{s:.3}s"),
+    }
 }
 
 /// A group of related benchmarks sharing sample-count and throughput
@@ -448,7 +451,7 @@ mod tests {
         assert_eq!(c.results.len(), 1);
         let s = &c.results[0];
         assert_eq!(s.full_name(), "spin");
-        assert!(s.median > Duration::ZERO);
+        assert!(s.median > 0.0);
         assert!(s.min <= s.median && s.median <= s.p95);
     }
 

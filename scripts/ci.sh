@@ -32,6 +32,14 @@ for kernel in naive blocked; do
         --test determinism_threads --test no_alloc_steady_state \
         --test minibatch_engine
 done
+# The bitwise kernel suites once more in release mode: the vectorized
+# kernel bodies and the GEMM row-block epilogues the benchmark runs
+# exist only in optimized code.
+run cargo test -q --release --offline --locked \
+    -p pargcn-util --lib \
+    -p pargcn-matrix --test kernel_engine --test determinism_threads \
+    -p pargcn-core --test determinism_threads --test dist_equals_serial \
+    --test no_alloc_steady_state
 # Smoke-run the communication and kernel-engine microbenchmarks (a few
 # samples each) so the bench harnesses can't rot between perf sessions.
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
